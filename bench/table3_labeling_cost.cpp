@@ -24,6 +24,12 @@
 // Bottom-up == Baseline on loop-free specs, Top-down and Random beating
 // Baseline nearly everywhere.
 //
+// BENCH_table3_labeling_cost.json times each strategy cell in its own
+// section (strategy-baseline ... strategy-optimal, one sample per spec)
+// and records each spec's classes, concepts, cover edges and strategy
+// costs as counters `<spec>.<quantity>` (-1 for a cell that did not
+// finish), so a change in any cell shows up as a diff in the JSON.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -50,28 +56,61 @@ int main() {
   double ExpertTotal = 0, BaselineTotal = 0;
   for (SpecEvaluation &E : evaluateAllProtocols()) {
     Session &S = *E.S;
+    const std::string &Spec = E.Model.Name;
+    auto Count = [&](const char *Quantity, double Value) {
+      Report.counter(Spec + "." + Quantity, Value);
+    };
+    Count("classes", static_cast<double>(S.numObjects()));
+    Count("concepts", static_cast<double>(S.lattice().size()));
+    Count("edges", static_cast<double>(S.lattice().numEdges()));
 
-    BaselineMethod Baseline;
-    size_t BaselineCost = Baseline.run(S, E.Target).total();
-
-    ExpertSimStrategy Expert;
-    StrategyCost ExpertCost = Expert.run(S, E.Target);
+    auto Timed = [&](const char *Section, auto &&Fn) {
+      BenchTimer Timer(Report, Section);
+      return Fn();
+    };
+    size_t BaselineCost = Timed("strategy-baseline", [&] {
+      return BaselineMethod().run(S, E.Target).total();
+    });
+    StrategyCost ExpertCost = Timed("strategy-expert", [&] {
+      return ExpertSimStrategy().run(S, E.Target);
+    });
 
     // The paper reports the lowest cost over Top-down's and Bottom-up's
     // nondeterministic orderings; sample 64 randomized orders each.
-    LowestSummary TDCost = measureLowestCost(
-        S, E.Target, 64, 0x7D, [](RNG Rand) -> std::unique_ptr<Strategy> {
-          return std::make_unique<TopDownStrategy>(Rand);
-        });
-    LowestSummary BUCost = measureLowestCost(
-        S, E.Target, 64, 0xB0, [](RNG Rand) -> std::unique_ptr<Strategy> {
-          return std::make_unique<BottomUpStrategy>(Rand);
-        });
+    LowestSummary TDCost = Timed("strategy-topdown", [&] {
+      return measureLowestCost(
+          S, E.Target, 64, 0x7D, [](RNG Rand) -> std::unique_ptr<Strategy> {
+            return std::make_unique<TopDownStrategy>(Rand);
+          });
+    });
+    LowestSummary BUCost = Timed("strategy-bottomup", [&] {
+      return measureLowestCost(
+          S, E.Target, 64, 0xB0, [](RNG Rand) -> std::unique_ptr<Strategy> {
+            return std::make_unique<BottomUpStrategy>(Rand);
+          });
+    });
 
-    RandomSummary Random = measureRandomMean(S, E.Target, 1024, 0xCAB1E);
+    RandomSummary Random = Timed("strategy-random", [&] {
+      return measureRandomMean(S, E.Target, 1024, 0xCAB1E);
+    });
 
-    OptimalStrategy Optimal(/*StateCap=*/250'000);
-    StrategyCost OptCost = Optimal.run(S, E.Target);
+    StrategyCost OptCost = Timed("strategy-optimal", [&] {
+      return OptimalStrategy(/*StateCap=*/250'000).run(S, E.Target);
+    });
+
+    auto OrMinusOne = [](bool Finished, double Cost) {
+      return Finished ? Cost : -1;
+    };
+    Count("baseline", static_cast<double>(BaselineCost));
+    Count("expert", OrMinusOne(ExpertCost.Finished,
+                               static_cast<double>(ExpertCost.total())));
+    Count("topdown", OrMinusOne(TDCost.Finished,
+                                static_cast<double>(TDCost.LowestTotal)));
+    Count("bottomup", OrMinusOne(BUCost.Finished,
+                                 static_cast<double>(BUCost.LowestTotal)));
+    Count("random", OrMinusOne(Random.Finished, Random.MeanTotal));
+    Count("optimal", OrMinusOne(OptCost.Finished,
+                                static_cast<double>(OptCost.total())));
 
     auto Fmt = [](const StrategyCost &C) {
       return C.Finished ? cell(C.total()) : std::string("-");
@@ -91,6 +130,8 @@ int main() {
   }
 
   T.print();
+  Report.counter("expert_total", ExpertTotal);
+  Report.counter("baseline_total", BaselineTotal);
   std::printf("\nTotals: Expert %.0f vs Baseline %.0f ops "
               "(ratio %.2f; paper: < 1/3 on average).\n"
               "'-' = did not finish (Optimal state cap, like the paper's "

@@ -175,7 +175,7 @@ Status Session::init(const SessionOptions &Options) {
     Truncated = false;
     BuildSt = Status::ok();
     Metrics::counter("session.builds").add();
-    Labels.assign(Classes.numClasses(), std::nullopt);
+    resetLabels();
     return Status::ok();
   }
 
@@ -244,7 +244,7 @@ Status Session::init(const SessionOptions &Options) {
     }
   }
 
-  Labels.assign(Classes.numClasses(), std::nullopt);
+  resetLabels();
   return Status::ok();
 }
 
@@ -263,30 +263,37 @@ LabelId Session::internLabel(std::string_view Name) {
   return static_cast<LabelId>(LabelNames.size() - 1);
 }
 
-void Session::clearLabels() {
+void Session::resetLabels() {
   Labels.assign(Classes.numClasses(), std::nullopt);
+  Labeled = BitVector(Classes.numClasses());
+}
+
+void Session::revert(const UndoRecord &Record) {
+  for (auto It = Record.rbegin(); It != Record.rend(); ++It)
+    assignLabel(It->first, It->second);
+}
+
+void Session::clearLabels() {
+  resetLabels();
   UndoStack.clear();
 }
 
 BitVector Session::selectObjects(NodeId Id, TraceSelect Select,
                                  std::optional<LabelId> From) const {
-  const BitVector &Extent = Lattice.node(Id).Extent;
-  BitVector Out(Extent.size());
-  for (size_t Obj : Extent) {
-    switch (Select) {
-    case TraceSelect::All:
-      Out.set(Obj);
-      break;
-    case TraceSelect::Unlabeled:
-      if (!Labels[Obj])
-        Out.set(Obj);
-      break;
-    case TraceSelect::WithLabel:
-      assert(From && "WithLabel requires a source label");
-      if (Labels[Obj] && *Labels[Obj] == *From)
-        Out.set(Obj);
-      break;
-    }
+  BitVector Out = Lattice.node(Id).Extent;
+  switch (Select) {
+  case TraceSelect::All:
+    break;
+  case TraceSelect::Unlabeled:
+    Out.andNot(Labeled);
+    break;
+  case TraceSelect::WithLabel:
+    assert(From && "WithLabel requires a source label");
+    Out &= Labeled;
+    for (size_t Obj : Out)
+      if (*Labels[Obj] != *From)
+        Out.reset(Obj);
+    break;
   }
   return Out;
 }
@@ -300,7 +307,7 @@ size_t Session::labelTraces(NodeId Id, TraceSelect Select, LabelId NewLabel,
   for (size_t Obj : Targets) {
     if (!Labels[Obj] || *Labels[Obj] != NewLabel) {
       Record.emplace_back(Obj, Labels[Obj]);
-      Labels[Obj] = NewLabel;
+      assignLabel(Obj, NewLabel);
       ++Changed;
     }
   }
@@ -311,46 +318,33 @@ size_t Session::labelTraces(NodeId Id, TraceSelect Select, LabelId NewLabel,
 void Session::setLabel(size_t Obj, LabelId L) {
   assert(Obj < Labels.size() && L < LabelNames.size() && "bad label/object");
   UndoStack.push_back({{Obj, Labels[Obj]}});
-  Labels[Obj] = L;
+  assignLabel(Obj, L);
 }
 
 bool Session::undo() {
   if (UndoStack.empty())
     return false;
-  for (const auto &[Obj, Prior] : UndoStack.back())
-    Labels[Obj] = Prior;
+  revert(UndoStack.back());
   UndoStack.pop_back();
   return true;
 }
 
 ConceptState Session::stateOf(NodeId Id) const {
   const BitVector &Extent = Lattice.node(Id).Extent;
-  bool AnyLabeled = false, AnyUnlabeled = false;
-  for (size_t Obj : Extent) {
-    if (Labels[Obj])
-      AnyLabeled = true;
-    else
-      AnyUnlabeled = true;
-    if (AnyLabeled && AnyUnlabeled)
-      return ConceptState::PartlyLabeled;
-  }
-  if (AnyUnlabeled)
-    return ConceptState::Unlabeled;
-  return ConceptState::FullyLabeled; // Includes the empty concept.
+  if (Extent.isSubsetOf(Labeled))
+    return ConceptState::FullyLabeled; // Includes the empty concept.
+  if (Extent.intersects(Labeled))
+    return ConceptState::PartlyLabeled;
+  return ConceptState::Unlabeled;
 }
 
 bool Session::allLabeled() const {
-  for (const std::optional<LabelId> &L : Labels)
-    if (!L)
-      return false;
-  return true;
+  return Labeled.count() == Labeled.size();
 }
 
 BitVector Session::unlabeledObjects() const {
-  BitVector Out(Labels.size());
-  for (size_t Obj = 0; Obj < Labels.size(); ++Obj)
-    if (!Labels[Obj])
-      Out.set(Obj);
+  BitVector Out = Labeled;
+  Out.flipAll();
   return Out;
 }
 
@@ -410,7 +404,7 @@ void Session::mergeBack(const FocusSession &F) {
     LabelId Here = internLabel(F.Sub.labelName(*L));
     size_t Obj = F.ParentObjects[SubObj];
     Record.emplace_back(Obj, Labels[Obj]);
-    Labels[Obj] = Here;
+    assignLabel(Obj, Here);
   }
   UndoStack.push_back(std::move(Record));
 }
@@ -448,8 +442,7 @@ bool Session::loadLabels(std::string_view Text, std::string &ErrorMsg,
       ErrorMsg = "line " + std::to_string(LineNo) +
                  ": expected '<label> <trace>'";
       // Leave the session unchanged on parse errors.
-      for (const auto &[Obj, Prior] : Record)
-        Labels[Obj] = Prior;
+      revert(Record);
       return false;
     }
     std::string LabelName(Body.substr(0, Space));
@@ -460,7 +453,7 @@ bool Session::loadLabels(std::string_view Text, std::string &ErrorMsg,
       continue;
     }
     Record.emplace_back(It->second, Labels[It->second]);
-    Labels[It->second] = internLabel(LabelName);
+    assignLabel(It->second, internLabel(LabelName));
   }
   UndoStack.push_back(std::move(Record));
   if (NumUnmatched)
@@ -595,6 +588,10 @@ Status Session::loadSnapshot(std::string_view Body) {
 
   LabelNames = std::move(NewNames);
   Labels = std::move(NewLabels);
+  Labeled = BitVector(Labels.size());
+  for (size_t Obj = 0; Obj < Labels.size(); ++Obj)
+    if (Labels[Obj])
+      Labeled.set(Obj);
   UndoStack = std::move(NewUndo);
   return Status::ok();
 }

@@ -331,12 +331,35 @@ private:
   std::vector<Status> CacheDiags;
 
   std::vector<std::optional<LabelId>> Labels;
+  /// Bit Obj is set iff Labels[Obj] holds a label, so the state and
+  /// selection queries are word operations. Writes to Labels go through
+  /// assignLabel() or resetLabels(), which keep the two in step;
+  /// loadSnapshot() replaces both.
+  BitVector Labeled;
   std::vector<std::string> LabelNames;
 
+  /// Sets (or, for nullopt, clears) the label of \p Obj. Defined here so
+  /// it inlines into the per-object loops that call it.
+  void assignLabel(size_t Obj, const std::optional<LabelId> &L) {
+    Labels[Obj] = L;
+    if (L)
+      Labeled.set(Obj);
+    else
+      Labeled.reset(Obj);
+  }
+
+  /// Drops every label (not the undo history).
+  void resetLabels();
+
   /// Undo history: per operation, the objects it changed with their prior
-  /// labels.
+  /// labels, in the order it changed them. An object may appear more than
+  /// once (a labels file naming one trace twice), so a record is undone
+  /// back to front.
   using UndoRecord = std::vector<std::pair<size_t, std::optional<LabelId>>>;
   std::vector<UndoRecord> UndoStack;
+
+  /// Restores the prior labels of \p Record, last change first.
+  void revert(const UndoRecord &Record);
 };
 
 /// A focused sub-session over one concept's traces, clustered with a

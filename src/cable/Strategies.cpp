@@ -8,9 +8,10 @@
 #include "cable/Strategies.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
+#include <cstring>
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace cable;
 
@@ -18,27 +19,134 @@ namespace {
 
 using NodeId = ConceptLattice::NodeId;
 
+/// The reference labeling as one object set per label, so "do these
+/// objects share a target label?" is one subset test against the set of
+/// the first object's label instead of a walk over the objects.
+class LabelSets {
+public:
+  LabelSets(const ReferenceLabeling &Target, size_t NumObjects)
+      : Target(Target.Target) {
+    for (size_t Obj = 0; Obj < NumObjects; ++Obj) {
+      LabelId L = Target.Target[Obj];
+      if (L >= Sets.size())
+        Sets.resize(L + 1, BitVector(NumObjects));
+      Sets[L].set(Obj);
+    }
+  }
+
+  /// True if all objects in \p Objects share one target label (vacuously
+  /// true for the empty set).
+  bool uniform(const BitVector &Objects) const {
+    size_t First = Objects.findFirst();
+    return First == BitVector::npos ||
+           Objects.isSubsetOf(Sets[Target[First]]);
+  }
+
+  /// Target label of \p Obj.
+  LabelId labelOf(size_t Obj) const { return Target[Obj]; }
+
+  /// The objects whose target label is \p L.
+  const BitVector &objectsWith(LabelId L) const { return Sets[L]; }
+
+private:
+  const std::vector<LabelId> &Target;
+  std::vector<BitVector> Sets;
+};
+
 /// Inspecting-then-labeling one concept under the canonical strategy rule:
 /// the inspection is already charged by the caller; if the concept's
 /// unlabeled traces all share a target label, one label command applies it.
 /// Returns true if a label command was issued.
-bool labelIfUniform(Session &S, NodeId Id, const ReferenceLabeling &Target,
+bool labelIfUniform(Session &S, NodeId Id, const LabelSets &Target,
                     StrategyCost &Cost) {
   BitVector U = S.selectObjects(Id, TraceSelect::Unlabeled);
   if (U.none() || !Target.uniform(U))
     return false;
-  S.labelTraces(Id, TraceSelect::Unlabeled, Target.sharedLabel(U));
+  S.labelTraces(Id, TraceSelect::Unlabeled, Target.labelOf(U.findFirst()));
   ++Cost.LabelOps;
   return true;
 }
 
+/// The Optimal search's visited set and FIFO queue in one: states (labeled-
+/// object sets of WordsPerState words) sit back to back in a flat arena in
+/// discovery order, indexed by an open-addressing table of arena positions.
+/// Inserting a state copies its words; nothing is allocated per state
+/// beyond the arena's and the table's amortized growth.
+class StateArena {
+public:
+  explicit StateArena(size_t WordsPerState)
+      : W(WordsPerState), Slots(1024, kEmpty) {}
+
+  /// Number of states stored.
+  size_t size() const { return Count; }
+
+  /// The words of state \p I (valid until the next insert).
+  const uint64_t *state(size_t I) const { return Words.data() + I * W; }
+
+  /// Appends \p State unless an equal state is stored; returns true if it
+  /// was new.
+  bool insert(const uint64_t *State) {
+    if (2 * (Count + 1) > Slots.size())
+      grow();
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = hash(State) & Mask;; I = (I + 1) & Mask) {
+      if (Slots[I] == kEmpty) {
+        assert(Count < kEmpty && "state arena index overflow");
+        Slots[I] = static_cast<uint32_t>(Count++);
+        Words.insert(Words.end(), State, State + W);
+        return true;
+      }
+      if (std::memcmp(state(Slots[I]), State, W * sizeof(uint64_t)) == 0)
+        return false;
+    }
+  }
+
+private:
+  static constexpr uint32_t kEmpty = ~uint32_t(0);
+
+  /// FNV-1a over the words, then a 64-bit finalizer. FNV's multiply only
+  /// carries bits upward, so without the finalizer the low bits the table
+  /// mask keeps would depend only on the low bits of each word: on the
+  /// labeled-object sets searched here, only on whether the first few
+  /// objects are labeled.
+  uint64_t hash(const uint64_t *State) const {
+    uint64_t H = 0xcbf29ce484222325ULL;
+    for (size_t I = 0; I < W; ++I)
+      H = (H ^ State[I]) * 0x100000001b3ULL;
+    H ^= H >> 33;
+    H *= 0xff51afd7ed558ccdULL;
+    H ^= H >> 33;
+    H *= 0xc4ceb9fe1a85ec53ULL;
+    H ^= H >> 33;
+    return H;
+  }
+
+  /// Doubles the table and re-indexes every stored state.
+  void grow() {
+    Slots.assign(2 * Slots.size(), kEmpty);
+    size_t Mask = Slots.size() - 1;
+    for (size_t S = 0; S < Count; ++S) {
+      size_t I = hash(state(S)) & Mask;
+      while (Slots[I] != kEmpty)
+        I = (I + 1) & Mask;
+      Slots[I] = static_cast<uint32_t>(S);
+    }
+  }
+
+  size_t W;
+  size_t Count = 0;
+  std::vector<uint64_t> Words;
+  std::vector<uint32_t> Slots;
+};
+
 } // namespace
 
 StrategyCost TopDownStrategy::run(Session &S,
-                                  const ReferenceLabeling &Target) {
+                                  const ReferenceLabeling &Reference) {
   S.clearLabels();
   StrategyCost Cost;
   const ConceptLattice &L = S.lattice();
+  LabelSets Target(Reference, S.numObjects());
 
   for (;;) {
     if (S.allLabeled()) {
@@ -76,10 +184,11 @@ StrategyCost TopDownStrategy::run(Session &S,
 }
 
 StrategyCost BottomUpStrategy::run(Session &S,
-                                   const ReferenceLabeling &Target) {
+                                   const ReferenceLabeling &Reference) {
   S.clearLabels();
   StrategyCost Cost;
   const ConceptLattice &L = S.lattice();
+  LabelSets Target(Reference, S.numObjects());
 
   while (!S.allLabeled()) {
     // Ready concepts: not fully labeled, all children fully labeled. The
@@ -111,21 +220,33 @@ StrategyCost BottomUpStrategy::run(Session &S,
   return Cost;
 }
 
-StrategyCost RandomStrategy::run(Session &S, const ReferenceLabeling &Target) {
+StrategyCost RandomStrategy::run(Session &S,
+                                 const ReferenceLabeling &Reference) {
   S.clearLabels();
   StrategyCost Cost;
   const ConceptLattice &L = S.lattice();
+  LabelSets Target(Reference, S.numObjects());
 
+  // The candidates are the not-fully-labeled concepts in id order. An
+  // inspection that labels nothing changes no state, so the list is only
+  // rebuilt after a label command: each pick draws from the list a rescan
+  // before every pick would build, and the RNG sees the same bounds.
+  std::vector<NodeId> Candidates;
+  bool Stale = true;
   size_t SinceLastLabel = 0;
   while (!S.allLabeled()) {
-    std::vector<NodeId> Candidates;
-    for (NodeId Id = 0; Id < L.size(); ++Id)
-      if (S.stateOf(Id) != ConceptState::FullyLabeled)
-        Candidates.push_back(Id);
+    if (Stale) {
+      Candidates.clear();
+      for (NodeId Id = 0; Id < L.size(); ++Id)
+        if (S.stateOf(Id) != ConceptState::FullyLabeled)
+          Candidates.push_back(Id);
+      Stale = false;
+    }
     NodeId Pick = Candidates[Rand.nextIndex(Candidates.size())];
     ++Cost.Inspections;
     if (labelIfUniform(S, Pick, Target, Cost)) {
       SinceLastLabel = 0;
+      Stale = true;
     } else if (++SinceLastLabel > 4 * L.size() + 64) {
       return Cost; // No labelable concept seems to exist: ill-formed.
     }
@@ -135,7 +256,7 @@ StrategyCost RandomStrategy::run(Session &S, const ReferenceLabeling &Target) {
 }
 
 StrategyCost OptimalStrategy::run(Session &S,
-                                  const ReferenceLabeling &Target) {
+                                  const ReferenceLabeling &Reference) {
   S.clearLabels();
   StrategyCost Cost;
   const ConceptLattice &L = S.lattice();
@@ -144,55 +265,72 @@ StrategyCost OptimalStrategy::run(Session &S,
   // Uniform-cost search over labeled-object sets. Every useful move
   // (inspect a concept whose unlabeled traces agree, then label) costs 2;
   // inspecting without labeling can never help a perfectly informed
-  // strategy, so moves are exactly the labelable concepts.
-  BitVector Start(N);
-  BitVector Goal(N);
-  Goal.setAll();
-
+  // strategy, so moves are exactly the labelable concepts. With unit move
+  // costs this is a breadth-first search; the arena is its FIFO queue,
+  // so a state's move count is the BFS level it was discovered on.
   if (N == 0) {
     Cost.Finished = true;
     return Cost;
   }
+  LabelSets Target(Reference, N);
+  BitVector Goal(N);
+  Goal.setAll();
+  const size_t W = Goal.numWords();
 
-  std::unordered_set<BitVector, BitVectorHash> Seen;
-  std::deque<std::pair<BitVector, size_t>> Queue; // (labeled set, #moves)
-  Seen.insert(Start);
-  Queue.emplace_back(Start, 0);
-
-  while (!Queue.empty()) {
-    auto [Labeled, Moves] = Queue.front();
-    Queue.pop_front();
-    if (Labeled == Goal) {
+  StateArena States(W);
+  std::vector<uint64_t> Labeled(W, 0), Next(W);
+  States.insert(Labeled.data());
+  size_t Moves = 0, LevelEnd = 1;
+  for (size_t Head = 0; Head < States.size(); ++Head) {
+    if (Head == LevelEnd) {
+      ++Moves;
+      LevelEnd = States.size();
+    }
+    std::memcpy(Labeled.data(), States.state(Head), W * sizeof(uint64_t));
+    if (std::equal(Labeled.begin(), Labeled.end(), Goal.words())) {
       Cost.Inspections = Moves;
       Cost.LabelOps = Moves;
       Cost.Finished = true;
       // Leave the session labeled per the target.
       for (size_t Obj = 0; Obj < N; ++Obj)
-        S.setLabel(Obj, Target.Target[Obj]);
+        S.setLabel(Obj, Reference.Target[Obj]);
       return Cost;
     }
     for (NodeId Id = 0; Id < L.size(); ++Id) {
-      BitVector U = L.node(Id).Extent;
-      U.andNot(Labeled);
-      if (U.none() || !Target.uniform(U))
+      // The move labels U = extent \ labeled, if U is nonempty and its
+      // target labels agree: U must lie inside the label set of its first
+      // object.
+      const uint64_t *Extent = L.node(Id).Extent.words();
+      size_t First = 0;
+      while (First < W && (Extent[First] & ~Labeled[First]) == 0)
+        ++First;
+      if (First == W)
         continue;
-      BitVector NextSet = Labeled;
-      NextSet |= U;
-      if (Seen.insert(NextSet).second) {
-        if (Seen.size() > StateCap)
-          return Cost; // Cap hit: report unfinished (like the paper's tool).
-        Queue.emplace_back(std::move(NextSet), Moves + 1);
-      }
+      uint64_t FirstWord = Extent[First] & ~Labeled[First];
+      const uint64_t *Class =
+          Target.objectsWith(Target.labelOf(First * 64 +
+                                            std::countr_zero(FirstWord)))
+              .words();
+      bool Uniform = true;
+      for (size_t I = First; I < W && Uniform; ++I)
+        Uniform = (Extent[I] & ~Labeled[I] & ~Class[I]) == 0;
+      if (!Uniform)
+        continue;
+      for (size_t I = 0; I < W; ++I)
+        Next[I] = Labeled[I] | Extent[I];
+      if (States.insert(Next.data()) && States.size() > StateCap)
+        return Cost; // Cap hit: report unfinished (like the paper's tool).
     }
   }
   return Cost; // No sequence reaches the goal: ill-formed lattice.
 }
 
 StrategyCost ExpertSimStrategy::run(Session &S,
-                                    const ReferenceLabeling &Target) {
+                                    const ReferenceLabeling &Reference) {
   S.clearLabels();
   StrategyCost Cost;
   const ConceptLattice &L = S.lattice();
+  LabelSets Target(Reference, S.numObjects());
   std::vector<bool> Visited(L.size(), false);
 
   // Depth-first descent from a concept: label it if its unlabeled traces

@@ -13,25 +13,32 @@
 
 using namespace cable;
 
+std::vector<size_t>
+cable::mostGeneralConcepts(const std::vector<Concept> &Concepts, size_t Cap) {
+  std::vector<size_t> Idx(Concepts.size());
+  std::iota(Idx.begin(), Idx.end(), 0);
+  if (Concepts.size() <= Cap)
+    return Idx;
+  // Deterministic: stable sort by descending extent cardinality, then
+  // restore the input's relative order among the survivors.
+  std::vector<size_t> Card(Concepts.size());
+  for (size_t I = 0; I < Concepts.size(); ++I)
+    Card[I] = Concepts[I].Extent.count();
+  std::stable_sort(Idx.begin(), Idx.end(),
+                   [&](size_t A, size_t B) { return Card[A] > Card[B]; });
+  Idx.resize(Cap);
+  std::sort(Idx.begin(), Idx.end());
+  return Idx;
+}
+
 ConceptLattice cable::finalizeTruncatedConcepts(const Context &Ctx,
                                                 std::vector<Concept> Concepts,
                                                 size_t Cap) {
-  // Keep the Cap most general concepts (largest extents). Deterministic:
-  // stable sort by descending extent cardinality, then restore the input's
-  // relative order among the survivors.
+  // Keep the Cap most general concepts (largest extents).
   if (Concepts.size() > Cap) {
-    std::vector<size_t> Idx(Concepts.size());
-    std::iota(Idx.begin(), Idx.end(), 0);
-    std::vector<size_t> Card(Concepts.size());
-    for (size_t I = 0; I < Concepts.size(); ++I)
-      Card[I] = Concepts[I].Extent.count();
-    std::stable_sort(Idx.begin(), Idx.end(),
-                     [&](size_t A, size_t B) { return Card[A] > Card[B]; });
-    Idx.resize(Cap);
-    std::sort(Idx.begin(), Idx.end());
     std::vector<Concept> Keep;
     Keep.reserve(Cap);
-    for (size_t I : Idx)
+    for (size_t I : mostGeneralConcepts(Concepts, Cap))
       Keep.push_back(std::move(Concepts[I]));
     Concepts = std::move(Keep);
   }

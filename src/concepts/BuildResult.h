@@ -55,6 +55,13 @@ struct LatticeBuildResult {
 /// is not capped.
 inline constexpr size_t DeadlineKeepCap = 1024;
 
+/// The indices, in increasing order, of the \p Cap most general of
+/// \p Concepts (largest extents; among equal extents the earlier index
+/// wins) — the subset finalizeTruncatedConcepts keeps. Every index when
+/// there are at most \p Cap concepts.
+std::vector<size_t> mostGeneralConcepts(const std::vector<Concept> &Concepts,
+                                        size_t Cap);
+
 /// Assembles a well-formed lattice from an arbitrary subset of a context's
 /// concepts: reduces to \p Cap (keeping the most general concepts,
 /// deterministically), then ensures the context's true top and bottom are

@@ -161,11 +161,15 @@ ConceptLattice GodinBuilder::build() const {
 }
 
 std::vector<Concept>
-GodinBuilder::snapshotConcepts(size_t ExtentUniverse) const {
+GodinBuilder::snapshotConcepts(size_t ExtentUniverse, size_t Cap) const {
   assert(ExtentUniverse >= NumObjects && "snapshot universe too small");
-  std::vector<Concept> Copy = Concepts;
-  for (Concept &C : Copy)
-    C.Extent.resize(ExtentUniverse);
+  std::vector<Concept> Copy;
+  std::vector<size_t> Keep = mostGeneralConcepts(Concepts, Cap);
+  Copy.reserve(Keep.size());
+  for (size_t I : Keep) {
+    Copy.push_back(Concepts[I]);
+    Copy.back().Extent.resize(ExtentUniverse);
+  }
   return Copy;
 }
 
@@ -214,6 +218,6 @@ GodinBuilder::buildLatticeBudgeted(const Context &Ctx,
   R.BuildStatus = truncationStatus(Stop, Meter, "lattice construction");
   size_t Cap = Stop == BuildStop::Time ? DeadlineKeepCap : SIZE_MAX;
   R.Lattice = finalizeTruncatedConcepts(
-      Ctx, B.snapshotConcepts(Ctx.numObjects()), Cap);
+      Ctx, B.snapshotConcepts(Ctx.numObjects(), Cap), Cap);
   return R;
 }

@@ -31,6 +31,9 @@
 #include "concepts/BuildResult.h"
 #include "concepts/Lattice.h"
 
+#include <cstdint>
+#include <vector>
+
 namespace cable {
 
 /// Incrementally accumulates the concepts of a growing context.
@@ -59,8 +62,11 @@ public:
 
   /// The accumulated concepts, extents resized to \p ExtentUniverse
   /// objects (pass the full context size to make a truncated snapshot
-  /// comparable with batch-built concepts).
-  std::vector<Concept> snapshotConcepts(size_t ExtentUniverse) const;
+  /// comparable with batch-built concepts). With a \p Cap, only the
+  /// mostGeneralConcepts are copied, so a deadline snapshot of a large
+  /// builder costs Cap copies rather than numConcepts().
+  std::vector<Concept> snapshotConcepts(size_t ExtentUniverse,
+                                        size_t Cap = SIZE_MAX) const;
 
   /// Convenience: runs the incremental algorithm over all objects of
   /// \p Ctx in index order.

@@ -93,6 +93,29 @@ TEST(PersistenceTest, MalformedLineRejected) {
   EXPECT_NE(Err.find("line 1"), std::string::npos) << Err;
 }
 
+TEST(PersistenceTest, UndoAfterLoadNamingATraceTwiceRestoresPriorState) {
+  // The second line relabels the trace the first one labeled; undo must
+  // step back past both to "no label", not to the first line's label.
+  Session A = makeSession("x(v0)\ny(v0)\n");
+  std::string Err;
+  ASSERT_TRUE(A.loadLabels("good x(v0)\nbad x(v0)\n", Err)) << Err;
+  EXPECT_EQ(A.labelName(*A.labelOf(0)), "bad");
+  ASSERT_TRUE(A.undo());
+  EXPECT_FALSE(A.labelOf(0).has_value());
+  EXPECT_EQ(A.stateOf(A.lattice().top()), ConceptState::Unlabeled);
+}
+
+TEST(PersistenceTest, FailedLoadNamingATraceTwiceLeavesSessionUnchanged) {
+  Session A = makeSession("x(v0)\ny(v0)\n");
+  std::string Err;
+  EXPECT_FALSE(A.loadLabels("good x(v0)\nbad x(v0)\njustonetoken\n", Err));
+  EXPECT_NE(Err.find("line 3"), std::string::npos) << Err;
+  EXPECT_FALSE(A.labelOf(0).has_value());
+  EXPECT_FALSE(A.labelOf(1).has_value());
+  EXPECT_EQ(A.unlabeledObjects().count(), 2u);
+  EXPECT_EQ(A.undoDepth(), 0u);
+}
+
 TEST(PersistenceTest, ConceptStatesReflectLoadedLabels) {
   Session A = makeSession("x(v0)\ny(v0)\n");
   std::string Err;

@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Model-based testing of the Session's labeling state machine: a random
-// sequence of label / setLabel / undo / mergeBack operations is applied
-// both to the Session and to a trivial reference model (a map from object
-// to label plus an explicit history). After every step the two must
-// agree, and the derived views (concept states, selections, label
-// populations) must match recomputation from the model.
+// sequence of label / setLabel / undo / mergeBack / loadLabels /
+// loadSnapshot / clearLabels operations is applied both to the Session and
+// to a trivial reference model (a map from object to label plus an
+// explicit history). After every step the two must agree, and the derived
+// views (concept states, selections in every mode, label populations) must
+// match recomputation from the model — so a labeled-object set that falls
+// out of step with the labels on any write path fails here.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,6 +76,12 @@ void expectAgreement(const Session &S, const Model &M) {
   EXPECT_EQ(S.unlabeledObjects().count(), Unlabeled);
   EXPECT_EQ(S.allLabeled(), Unlabeled == 0);
   EXPECT_EQ(S.undoDepth(), M.History.size());
+  for (LabelId L = 0; L < S.numLabels(); ++L) {
+    size_t With = 0;
+    for (const auto &Label : M.Labels)
+      With += Label == std::optional<LabelId>(L);
+    EXPECT_EQ(S.objectsWithLabel(L).count(), With) << "label " << L;
+  }
 
   // Concept states recomputed from the model.
   for (ConceptLattice::NodeId Id = 0; Id < S.lattice().size(); ++Id) {
@@ -87,6 +95,25 @@ void expectAgreement(const Session &S, const Model &M) {
             : (AnyUnlabeled ? ConceptState::Unlabeled
                             : ConceptState::FullyLabeled);
     EXPECT_EQ(S.stateOf(Id), Expected) << "concept " << Id;
+
+    // Selections in all three modes, recomputed from the model.
+    const BitVector &Extent = S.lattice().node(Id).Extent;
+    EXPECT_EQ(S.selectObjects(Id, TraceSelect::All), Extent)
+        << "concept " << Id;
+    BitVector Unlabeled(S.numObjects());
+    for (size_t Obj : Extent)
+      if (!M.Labels[Obj])
+        Unlabeled.set(Obj);
+    EXPECT_EQ(S.selectObjects(Id, TraceSelect::Unlabeled), Unlabeled)
+        << "concept " << Id;
+    for (LabelId L = 0; L < S.numLabels(); ++L) {
+      BitVector With(S.numObjects());
+      for (size_t Obj : Extent)
+        if (M.Labels[Obj] == std::optional<LabelId>(L))
+          With.set(Obj);
+      EXPECT_EQ(S.selectObjects(Id, TraceSelect::WithLabel, L), With)
+          << "concept " << Id << ", label " << L;
+    }
   }
 }
 
@@ -103,8 +130,11 @@ TEST_P(SessionModelTest, RandomOperationSequencesAgreeWithModel) {
   LabelId Bad = S.internLabel("bad");
   std::vector<LabelId> AllLabels{Good, Bad};
 
-  for (int Step = 0; Step < 60; ++Step) {
-    switch (Rand.nextBounded(5)) {
+  // A saved snapshot and the model state it was taken in.
+  std::optional<std::pair<std::string, Model>> Saved;
+
+  for (int Step = 0; Step < 100; ++Step) {
+    switch (Rand.nextBounded(8)) {
     case 0: { // labelTraces with a random selection mode.
       auto Id = static_cast<ConceptLattice::NodeId>(
           Rand.nextIndex(S.lattice().size()));
@@ -173,6 +203,55 @@ TEST_P(SessionModelTest, RandomOperationSequencesAgreeWithModel) {
       for (const auto &L : M.Labels)
         LabeledCount += L.has_value();
       EXPECT_EQ(Lines, LabeledCount);
+      break;
+    }
+    case 5: { // loadLabels: may name a trace twice (last line wins) and
+              // may end in a malformed line that rolls everything back.
+      std::string Text;
+      std::vector<std::pair<size_t, std::string>> Lines;
+      size_t NumLines = 1 + Rand.nextIndex(6);
+      for (size_t I = 0; I < NumLines; ++I) {
+        size_t Obj = Rand.nextIndex(S.numObjects());
+        if (!Lines.empty() && Rand.nextBool(0.4))
+          Obj = Lines[Rand.nextIndex(Lines.size())].first;
+        const char *Name = Rand.nextBool(0.5)   ? "good"
+                           : Rand.nextBool(0.5) ? "bad"
+                                                : "ugly";
+        Lines.emplace_back(Obj, Name);
+        Text += std::string(Name) + " " + S.object(Obj).render(S.table()) +
+                "\n";
+      }
+      Text += "good unknown_event\n"; // Counted as unmatched.
+      bool Malformed = Rand.nextBool(0.3);
+      if (Malformed)
+        Text += "justonetoken\n";
+      std::string Err;
+      size_t Unmatched = 0;
+      bool Ok = S.loadLabels(Text, Err, &Unmatched);
+      EXPECT_EQ(Ok, !Malformed) << Err;
+      if (!Ok)
+        break; // The session must be unchanged: the model is.
+      EXPECT_EQ(Unmatched, 1u);
+      M.snapshot();
+      for (const auto &[Obj, Name] : Lines)
+        M.Labels[Obj] = S.internLabel(Name);
+      break;
+    }
+    case 6: { // Snapshot round trip: save now, or restore an earlier save.
+      if (!Saved || Rand.nextBool(0.5)) {
+        Saved.emplace(S.serializeSnapshot(), M);
+        break;
+      }
+      ASSERT_TRUE(S.loadSnapshot(Saved->first).isOk());
+      M = Saved->second;
+      EXPECT_EQ(S.serializeSnapshot(), Saved->first);
+      break;
+    }
+    case 7: { // clearLabels drops labels and history.
+      if (!Rand.nextBool(0.3))
+        break;
+      S.clearLabels();
+      M = Model(S.numObjects());
       break;
     }
     }

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
+#include <unordered_set>
 
 using namespace cable;
 using cable::test::compileFA;
@@ -54,6 +56,170 @@ void expectMatchesTarget(const Session &S, const ReferenceLabeling &Target) {
   for (size_t Obj = 0; Obj < S.numObjects(); ++Obj) {
     ASSERT_TRUE(S.labelOf(Obj).has_value()) << "object " << Obj;
     EXPECT_EQ(*S.labelOf(Obj), Target.Target[Obj]) << "object " << Obj;
+  }
+}
+
+/// A random session over the unordered FA with a target labeling.
+struct RandomFixture {
+  std::unique_ptr<Session> S;
+  ReferenceLabeling Target;
+};
+
+/// Shapes of random sessions. The wide ones have over 64 distinct traces,
+/// so labeled-object sets span several words.
+enum class Shape {
+  Small,        ///< 2-8 traces over {a, b, c}.
+  ManyTraces,   ///< 150 traces over {a, b, c}: few concepts, small search.
+  ManyConcepts, ///< 150 traces over {a..h}: ~200 concepts, capped search.
+};
+
+/// Separable by construction: "bad" traces contain the event `err`.
+/// \p RandomLabels replaces that rule with coin flips (usually
+/// ill-formed).
+RandomFixture makeRandomFixture(uint64_t Seed, Shape Sh = Shape::Small,
+                                bool RandomLabels = false) {
+  RNG Rand(Seed);
+  TraceSet Traces;
+  std::vector<std::string> Pool{"a", "b", "c"};
+  if (Sh == Shape::ManyConcepts)
+    Pool.insert(Pool.end(), {"d", "e", "f", "g", "h"});
+  size_t N = Sh == Shape::Small ? 2 + Rand.nextIndex(7) : 150;
+  size_t MaxLen = Sh == Shape::Small        ? 3
+                  : Sh == Shape::ManyTraces ? 8
+                                            : 5;
+  for (size_t I = 0; I < N; ++I) {
+    Trace T;
+    size_t Len = 1 + Rand.nextIndex(MaxLen);
+    for (size_t J = 0; J < Len; ++J)
+      T.append(Traces.table().internEvent(Pool[Rand.nextIndex(Pool.size())]));
+    if (Rand.nextBool(0.4))
+      T.append(Traces.table().internEvent("err"));
+    Traces.add(std::move(T));
+  }
+  Automaton Ref =
+      makeUnorderedFA(templateAlphabet(Traces.traces()), Traces.table());
+  RandomFixture F;
+  F.S = std::make_unique<Session>(std::move(Traces), std::move(Ref));
+  std::vector<std::string> Names;
+  for (size_t Obj = 0; Obj < F.S->numObjects(); ++Obj) {
+    bool Bad = false;
+    for (EventId E : F.S->object(Obj).events())
+      if (F.S->table().nameText(F.S->table().event(E).Name) == "err")
+        Bad = true;
+    if (RandomLabels)
+      Bad = Rand.nextBool(0.5);
+    Names.push_back(Bad ? "bad" : "good");
+  }
+  F.Target = makeReferenceLabeling(*F.S, Names);
+  return F;
+}
+
+/// The Optimal search in its plainest form — every state a heap BitVector
+/// in both an unordered_set (visited) and a deque (FIFO) — as the oracle
+/// for OptimalStrategy's flat-arena search: same discovery order, same
+/// `Seen.size() > StateCap` rule.
+StrategyCost referenceOptimal(Session &S, const ReferenceLabeling &Target,
+                              size_t StateCap) {
+  S.clearLabels();
+  StrategyCost Cost;
+  const ConceptLattice &L = S.lattice();
+  size_t N = S.numObjects();
+  BitVector Start(N);
+  BitVector Goal(N);
+  Goal.setAll();
+  if (N == 0) {
+    Cost.Finished = true;
+    return Cost;
+  }
+  std::unordered_set<BitVector, BitVectorHash> Seen;
+  std::deque<std::pair<BitVector, size_t>> Queue;
+  Seen.insert(Start);
+  Queue.emplace_back(Start, 0);
+  while (!Queue.empty()) {
+    auto [Labeled, Moves] = Queue.front();
+    Queue.pop_front();
+    if (Labeled == Goal) {
+      Cost.Inspections = Moves;
+      Cost.LabelOps = Moves;
+      Cost.Finished = true;
+      return Cost;
+    }
+    for (ConceptLattice::NodeId Id = 0; Id < L.size(); ++Id) {
+      BitVector U = L.node(Id).Extent;
+      U.andNot(Labeled);
+      if (U.none() || !Target.uniform(U))
+        continue;
+      BitVector NextSet = Labeled;
+      NextSet |= U;
+      if (Seen.insert(NextSet).second) {
+        if (Seen.size() > StateCap)
+          return Cost;
+        Queue.emplace_back(std::move(NextSet), Moves + 1);
+      }
+    }
+  }
+  return Cost;
+}
+
+/// Random in its plainest form: rescans the not-fully-labeled concepts
+/// before every pick. RandomStrategy rebuilds its list only after a label
+/// command and must draw the same picks.
+StrategyCost referenceRandom(Session &S, const ReferenceLabeling &Target,
+                             RNG Rand) {
+  S.clearLabels();
+  StrategyCost Cost;
+  const ConceptLattice &L = S.lattice();
+  size_t SinceLastLabel = 0;
+  while (!S.allLabeled()) {
+    std::vector<ConceptLattice::NodeId> Candidates;
+    for (ConceptLattice::NodeId Id = 0; Id < L.size(); ++Id)
+      if (S.stateOf(Id) != ConceptState::FullyLabeled)
+        Candidates.push_back(Id);
+    ConceptLattice::NodeId Pick = Candidates[Rand.nextIndex(Candidates.size())];
+    ++Cost.Inspections;
+    BitVector U = S.selectObjects(Pick, TraceSelect::Unlabeled);
+    if (U.any() && Target.uniform(U)) {
+      S.labelTraces(Pick, TraceSelect::Unlabeled, Target.sharedLabel(U));
+      ++Cost.LabelOps;
+      SinceLastLabel = 0;
+    } else if (++SinceLastLabel > 4 * L.size() + 64) {
+      return Cost;
+    }
+  }
+  Cost.Finished = true;
+  return Cost;
+}
+
+void expectSameCost(const StrategyCost &Got, const StrategyCost &Want) {
+  EXPECT_EQ(Got.Finished, Want.Finished);
+  EXPECT_EQ(Got.Inspections, Want.Inspections);
+  EXPECT_EQ(Got.LabelOps, Want.LabelOps);
+}
+
+/// Runs both Optimal searches at every cap in \p Caps and compares them.
+void expectOptimalMatchesReference(Session &S, const ReferenceLabeling &Target,
+                                   std::initializer_list<size_t> Caps) {
+  for (size_t Cap : Caps) {
+    SCOPED_TRACE("state cap " + std::to_string(Cap));
+    StrategyCost Want = referenceOptimal(S, Target, Cap);
+    StrategyCost Got = OptimalStrategy(Cap).run(S, Target);
+    expectSameCost(Got, Want);
+    if (Got.Finished)
+      expectMatchesTarget(S, Target);
+  }
+}
+
+/// Runs \p Trials trials of both Random versions from one seeded fork
+/// stream and compares them trial by trial.
+void expectRandomMatchesReference(Session &S, const ReferenceLabeling &Target,
+                                  uint64_t Seed, size_t Trials) {
+  RNG Root(Seed);
+  for (size_t Trial = 0; Trial < Trials; ++Trial) {
+    SCOPED_TRACE("trial " + std::to_string(Trial));
+    RNG Rand = Root.fork();
+    StrategyCost Want = referenceRandom(S, Target, Rand);
+    StrategyCost Got = RandomStrategy(Rand).run(S, Target);
+    expectSameCost(Got, Want);
   }
 }
 
@@ -300,32 +466,9 @@ TEST(StrategiesTest, MeasureLowestCostUnfinishedOnIllFormed) {
 class StrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StrategyPropertyTest, AllStrategiesAgreeOnSeparableSessions) {
-  RNG Rand(GetParam());
-  // Separable by construction: "bad" traces contain the event `err`.
-  TraceSet Traces;
-  std::vector<std::string> Pool{"a", "b", "c"};
-  size_t N = 2 + Rand.nextIndex(7);
-  for (size_t I = 0; I < N; ++I) {
-    Trace T;
-    size_t Len = 1 + Rand.nextIndex(3);
-    for (size_t J = 0; J < Len; ++J)
-      T.append(Traces.table().internEvent(Pool[Rand.nextIndex(Pool.size())]));
-    if (Rand.nextBool(0.4))
-      T.append(Traces.table().internEvent("err"));
-    Traces.add(std::move(T));
-  }
-  Automaton Ref =
-      makeUnorderedFA(templateAlphabet(Traces.traces()), Traces.table());
-  Session S(std::move(Traces), std::move(Ref));
-  std::vector<std::string> Names;
-  for (size_t Obj = 0; Obj < S.numObjects(); ++Obj) {
-    bool Bad = false;
-    for (EventId E : S.object(Obj).events())
-      if (S.table().nameText(S.table().event(E).Name) == "err")
-        Bad = true;
-    Names.push_back(Bad ? "bad" : "good");
-  }
-  ReferenceLabeling Target = makeReferenceLabeling(S, Names);
+  RandomFixture F = makeRandomFixture(GetParam());
+  Session &S = *F.S;
+  const ReferenceLabeling &Target = F.Target;
   ASSERT_TRUE(checkWellFormed(S, Target).LatticeWellFormed);
 
   OptimalStrategy O;
@@ -348,5 +491,61 @@ TEST_P(StrategyPropertyTest, AllStrategiesAgreeOnSeparableSessions) {
   }
 }
 
+TEST_P(StrategyPropertyTest, OptimalMatchesReferenceSearchAtEveryCap) {
+  RandomFixture F = makeRandomFixture(GetParam());
+  expectOptimalMatchesReference(*F.S, F.Target,
+                                {1, 10, 100, 1000, 2'000'000});
+}
+
+TEST_P(StrategyPropertyTest, RandomMatchesRescanningReference) {
+  RandomFixture F = makeRandomFixture(GetParam());
+  expectRandomMatchesReference(*F.S, F.Target, GetParam() * 31 + 1, 16);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyPropertyTest,
                          ::testing::Range<uint64_t>(0, 25));
+
+TEST(StrategiesTest, OptimalMatchesReferenceOnMultiWordStates) {
+  bool SawFinished = false;
+  for (Shape Sh : {Shape::ManyTraces, Shape::ManyConcepts}) {
+    for (uint64_t Seed : {1u, 2u}) {
+      for (bool RandomLabels : {false, true}) {
+        SCOPED_TRACE("shape " + std::to_string(static_cast<int>(Sh)) +
+                     ", seed " + std::to_string(Seed) +
+                     (RandomLabels ? ", random labels" : ", err labels"));
+        RandomFixture F = makeRandomFixture(Seed, Sh, RandomLabels);
+        ASSERT_GT(F.S->numObjects(), 64u) << "states must span several words";
+        expectOptimalMatchesReference(*F.S, F.Target,
+                                      {1, 10, 100, 1000, 5000});
+        SawFinished |= OptimalStrategy(5000).run(*F.S, F.Target).Finished;
+      }
+    }
+  }
+  EXPECT_TRUE(SawFinished) << "no wide search reached its goal";
+}
+
+TEST(StrategiesTest, RandomMatchesRescanningReferenceOnWideSessions) {
+  for (Shape Sh : {Shape::ManyTraces, Shape::ManyConcepts}) {
+    for (uint64_t Seed : {1u, 2u, 3u}) {
+      for (bool RandomLabels : {false, true}) {
+        SCOPED_TRACE("shape " + std::to_string(static_cast<int>(Sh)) +
+                     ", seed " + std::to_string(Seed) +
+                     (RandomLabels ? ", random labels" : ", err labels"));
+        RandomFixture F = makeRandomFixture(Seed, Sh, RandomLabels);
+        expectRandomMatchesReference(*F.S, F.Target, Seed, 8);
+      }
+    }
+  }
+}
+
+TEST(StrategiesTest, RandomAndOptimalMatchReferencesOnIllFormedLattice) {
+  TraceSet Traces = parseTraces("foo\nfoo foo\nfoo foo foo\n");
+  Automaton Ref = compileFA("foo*", Traces.table());
+  Session S(std::move(Traces), std::move(Ref));
+  std::vector<std::string> Names;
+  for (size_t Obj = 0; Obj < S.numObjects(); ++Obj)
+    Names.push_back(S.object(Obj).size() % 2 == 0 ? "good" : "bad");
+  ReferenceLabeling Target = makeReferenceLabeling(S, Names);
+  expectRandomMatchesReference(S, Target, 11, 4);
+  expectOptimalMatchesReference(S, Target, {1, 10, 100, 1000, 2'000'000});
+}

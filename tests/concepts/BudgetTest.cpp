@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -296,6 +297,29 @@ TEST(BudgetBuilderTest, MeetJoinDegradeGracefullyOnTruncatedLattices) {
       ConceptLattice::NodeId J = L.join(A, B);
       EXPECT_TRUE(L.node(J).Intent.isSubsetOf(L.node(A).Intent));
       EXPECT_TRUE(L.node(J).Intent.isSubsetOf(L.node(B).Intent));
+    }
+  }
+}
+
+TEST(BudgetBuilderTest, CappedGodinSnapshotMatchesTrimmingTheFullSnapshot) {
+  // A deadline-truncated Godin build copies only the DeadlineKeepCap most
+  // general concepts; the lattice must equal trimming a full copy.
+  RNG Rand(7);
+  for (int Trial = 0; Trial < 20; ++Trial) {
+    SCOPED_TRACE(Trial);
+    Context Ctx = randomContext(Rand, 40, 14, 0.5);
+    GodinBuilder B(Ctx.numAttributes());
+    for (size_t O = 0; O < Ctx.numObjects(); ++O)
+      B.addObject(Ctx.objectRow(O));
+    for (size_t Cap : {size_t(0), size_t(1), size_t(7), size_t(64),
+                       B.numConcepts(), B.numConcepts() + 1}) {
+      SCOPED_TRACE(Cap);
+      std::vector<Concept> Capped = B.snapshotConcepts(Ctx.numObjects(), Cap);
+      EXPECT_EQ(Capped.size(), std::min(Cap, B.numConcepts()));
+      expectIdentical(
+          finalizeTruncatedConcepts(Ctx, std::move(Capped), Cap),
+          finalizeTruncatedConcepts(Ctx, B.snapshotConcepts(Ctx.numObjects()),
+                                    Cap));
     }
   }
 }
