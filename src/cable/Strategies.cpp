@@ -7,6 +7,8 @@
 
 #include "cable/Strategies.h"
 
+#include "support/WordSetArena.h"
+
 #include <algorithm>
 #include <bit>
 #include <cassert>
@@ -66,78 +68,6 @@ bool labelIfUniform(Session &S, NodeId Id, const LabelSets &Target,
   ++Cost.LabelOps;
   return true;
 }
-
-/// The Optimal search's visited set and FIFO queue in one: states (labeled-
-/// object sets of WordsPerState words) sit back to back in a flat arena in
-/// discovery order, indexed by an open-addressing table of arena positions.
-/// Inserting a state copies its words; nothing is allocated per state
-/// beyond the arena's and the table's amortized growth.
-class StateArena {
-public:
-  explicit StateArena(size_t WordsPerState)
-      : W(WordsPerState), Slots(1024, kEmpty) {}
-
-  /// Number of states stored.
-  size_t size() const { return Count; }
-
-  /// The words of state \p I (valid until the next insert).
-  const uint64_t *state(size_t I) const { return Words.data() + I * W; }
-
-  /// Appends \p State unless an equal state is stored; returns true if it
-  /// was new.
-  bool insert(const uint64_t *State) {
-    if (2 * (Count + 1) > Slots.size())
-      grow();
-    size_t Mask = Slots.size() - 1;
-    for (size_t I = hash(State) & Mask;; I = (I + 1) & Mask) {
-      if (Slots[I] == kEmpty) {
-        assert(Count < kEmpty && "state arena index overflow");
-        Slots[I] = static_cast<uint32_t>(Count++);
-        Words.insert(Words.end(), State, State + W);
-        return true;
-      }
-      if (std::memcmp(state(Slots[I]), State, W * sizeof(uint64_t)) == 0)
-        return false;
-    }
-  }
-
-private:
-  static constexpr uint32_t kEmpty = ~uint32_t(0);
-
-  /// FNV-1a over the words, then a 64-bit finalizer. FNV's multiply only
-  /// carries bits upward, so without the finalizer the low bits the table
-  /// mask keeps would depend only on the low bits of each word: on the
-  /// labeled-object sets searched here, only on whether the first few
-  /// objects are labeled.
-  uint64_t hash(const uint64_t *State) const {
-    uint64_t H = 0xcbf29ce484222325ULL;
-    for (size_t I = 0; I < W; ++I)
-      H = (H ^ State[I]) * 0x100000001b3ULL;
-    H ^= H >> 33;
-    H *= 0xff51afd7ed558ccdULL;
-    H ^= H >> 33;
-    H *= 0xc4ceb9fe1a85ec53ULL;
-    H ^= H >> 33;
-    return H;
-  }
-
-  /// Doubles the table and re-indexes every stored state.
-  void grow() {
-    Slots.assign(2 * Slots.size(), kEmpty);
-    size_t Mask = Slots.size() - 1;
-    for (size_t S = 0; S < Count; ++S) {
-      size_t I = hash(state(S)) & Mask;
-      while (Slots[I] != kEmpty)
-        I = (I + 1) & Mask;
-      Slots[I] = static_cast<uint32_t>(S);
-    }
-  }
-
-  size_t W;
-  size_t Count = 0;
-  std::vector<uint64_t> Words;
-  std::vector<uint32_t> Slots;
-};
 
 } // namespace
 
@@ -277,7 +207,8 @@ StrategyCost OptimalStrategy::run(Session &S,
   Goal.setAll();
   const size_t W = Goal.numWords();
 
-  StateArena States(W);
+  // The visited set and the FIFO queue in one: states in discovery order.
+  WordSetArena States(W);
   std::vector<uint64_t> Labeled(W, 0), Next(W);
   States.insert(Labeled.data());
   size_t Moves = 0, LevelEnd = 1;
@@ -286,7 +217,7 @@ StrategyCost OptimalStrategy::run(Session &S,
       ++Moves;
       LevelEnd = States.size();
     }
-    std::memcpy(Labeled.data(), States.state(Head), W * sizeof(uint64_t));
+    std::memcpy(Labeled.data(), States.key(Head), W * sizeof(uint64_t));
     if (std::equal(Labeled.begin(), Labeled.end(), Goal.words())) {
       Cost.Inspections = Moves;
       Cost.LabelOps = Moves;
@@ -318,7 +249,7 @@ StrategyCost OptimalStrategy::run(Session &S,
         continue;
       for (size_t I = 0; I < W; ++I)
         Next[I] = Labeled[I] | Extent[I];
-      if (States.insert(Next.data()) && States.size() > StateCap)
+      if (States.insert(Next.data()).second && States.size() > StateCap)
         return Cost; // Cap hit: report unfinished (like the paper's tool).
     }
   }

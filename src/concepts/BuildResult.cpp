@@ -7,6 +7,8 @@
 
 #include "concepts/BuildResult.h"
 
+#include "support/Error.h"
+
 #include <algorithm>
 #include <numeric>
 #include <unordered_set>
@@ -71,6 +73,13 @@ ConceptLattice cable::finalizeTruncatedConcepts(const Context &Ctx,
   }
 
   return ConceptLattice::fromConcepts(std::move(Concepts));
+}
+
+ConceptLattice cable::expectComplete(StatusOr<ConceptLattice> Lattice) {
+  if (!Lattice)
+    reportFatalError("a builder's own enumeration is not every concept of "
+                     "its context");
+  return std::move(*Lattice);
 }
 
 Status cable::truncationStatus(BuildStop Stop, const BudgetMeter &Meter,

@@ -66,11 +66,18 @@ std::vector<size_t> mostGeneralConcepts(const std::vector<Concept> &Concepts,
 /// concepts: reduces to \p Cap (keeping the most general concepts,
 /// deterministically), then ensures the context's true top and bottom are
 /// present so ConceptLattice's structural invariants hold. Preserves the
-/// input order of the kept concepts. Cover edges are recomputed serially —
-/// truncated sets are small by construction.
+/// input order of the kept concepts. Cover edges come from the serial
+/// pairwise scan of ConceptLattice::fromConcepts, since a truncated family
+/// can miss the closures the neighbour search needs; deadline and memory
+/// cuts pass DeadlineKeepCap, which keeps that scan small.
 ConceptLattice finalizeTruncatedConcepts(const Context &Ctx,
                                          std::vector<Concept> Concepts,
                                          size_t Cap);
+
+/// The lattice a builder assembled from a concept family it enumerated
+/// itself, complete by construction: fromCompleteConcepts cannot fail on
+/// it, so a failure is a bug in Cable and aborts.
+ConceptLattice expectComplete(StatusOr<ConceptLattice> Lattice);
 
 /// The Status describing a truncated build: Cancelled / ResourceExhausted
 /// with a message naming the exhausted limit. \p Stop must not be

@@ -152,23 +152,48 @@ bool GodinBuilder::addObjectBudgeted(const BitVector &Attrs,
 }
 
 ConceptLattice GodinBuilder::build() const {
+  // Each object's row is the intent of its object concept, the largest of
+  // the intents whose extents hold it, so their union.
+  std::vector<BitVector> Rows(NumObjects, BitVector(NumAttributes));
+  for (const Concept &C : Concepts)
+    for (size_t O : C.Extent)
+      Rows[O] |= C.Intent;
+  Context Ctx(NumObjects, NumAttributes);
+  for (size_t O = 0; O < NumObjects; ++O)
+    for (size_t A : Rows[O])
+      Ctx.relate(O, A);
+  return build(Ctx);
+}
+
+ConceptLattice GodinBuilder::build(const Context &Ctx) const {
+  assert(Ctx.numObjects() == NumObjects &&
+         Ctx.numAttributes() == NumAttributes && "context mismatch");
   std::vector<Concept> Copy = Concepts;
   // With zero objects the seed concept has a zero-sized extent universe;
   // normalize so downstream code can rely on extents sized to numObjects().
   for (Concept &C : Copy)
     C.Extent.resize(NumObjects);
-  return ConceptLattice::fromConcepts(std::move(Copy));
+  // The accumulated concepts are all the concepts of the added objects,
+  // so the neighbour search runs over exactly their context.
+  return expectComplete(
+      ConceptLattice::fromCompleteConcepts(Ctx, std::move(Copy)));
 }
 
-std::vector<Concept>
-GodinBuilder::snapshotConcepts(size_t ExtentUniverse, size_t Cap) const {
-  assert(ExtentUniverse >= NumObjects && "snapshot universe too small");
+std::vector<Concept> GodinBuilder::snapshotConcepts(const Context &Ctx,
+                                                    size_t Cap) const {
+  assert(Ctx.numObjects() >= NumObjects &&
+         Ctx.numAttributes() == NumAttributes && "snapshot context too small");
   std::vector<Concept> Copy;
   std::vector<size_t> Keep = mostGeneralConcepts(Concepts, Cap);
   Copy.reserve(Keep.size());
   for (size_t I : Keep) {
-    Copy.push_back(Concepts[I]);
-    Copy.back().Extent.resize(ExtentUniverse);
+    // σ of a set of inserted objects reads only their rows, so every
+    // intent here is an intent of the full context as well; τ completes
+    // it to that context's concept.
+    Concept C;
+    C.Extent = Ctx.tau(Concepts[I].Intent);
+    C.Intent = Concepts[I].Intent;
+    Copy.push_back(std::move(C));
   }
   return Copy;
 }
@@ -178,7 +203,7 @@ ConceptLattice GodinBuilder::buildLattice(const Context &Ctx) {
   GodinBuilder B(Ctx.numAttributes());
   for (size_t O = 0; O < Ctx.numObjects(); ++O)
     B.addObject(Ctx.objectRow(O));
-  return B.build();
+  return B.build(Ctx);
 }
 
 LatticeBuildResult
@@ -207,17 +232,16 @@ GodinBuilder::buildLatticeBudgeted(const Context &Ctx,
   LatticeBuildResult R;
   R.NumEnumerated = B.numConcepts();
   // Even a completed insertion sequence defers to the truncated epilogue
-  // when the clock ran out: build()'s cover computation is quadratic in
-  // the concept count and must not start unbounded.
+  // when the clock ran out: build()'s cover computation must not start
+  // unbounded.
   if (!Stopped && !Meter.expired()) {
-    R.Lattice = B.build();
+    R.Lattice = B.build(Ctx);
     return R;
   }
   BuildStop Stop = Meter.expired() ? BuildStop::Time : BuildStop::ConceptCap;
   R.Truncated = true;
   R.BuildStatus = truncationStatus(Stop, Meter, "lattice construction");
   size_t Cap = Stop == BuildStop::Time ? DeadlineKeepCap : SIZE_MAX;
-  R.Lattice = finalizeTruncatedConcepts(
-      Ctx, B.snapshotConcepts(Ctx.numObjects(), Cap), Cap);
+  R.Lattice = finalizeTruncatedConcepts(Ctx, B.snapshotConcepts(Ctx, Cap), Cap);
   return R;
 }

@@ -60,12 +60,14 @@ public:
   /// Assembles the lattice (computes covers, top, bottom).
   ConceptLattice build() const;
 
-  /// The accumulated concepts, extents resized to \p ExtentUniverse
-  /// objects (pass the full context size to make a truncated snapshot
-  /// comparable with batch-built concepts). With a \p Cap, only the
-  /// mostGeneralConcepts are copied, so a deadline snapshot of a large
-  /// builder costs Cap copies rather than numConcepts().
-  std::vector<Concept> snapshotConcepts(size_t ExtentUniverse,
+  /// The accumulated concepts as concepts of \p Ctx, whose first
+  /// numObjects() rows must be the ones added: each kept intent paired
+  /// with its extent τ(intent) over all of \p Ctx, so a truncated snapshot
+  /// holds genuine concepts of the full context. With a \p Cap, only the
+  /// mostGeneralConcepts (by extent within the added objects) are copied,
+  /// so a deadline snapshot of a large builder costs Cap copies rather
+  /// than numConcepts().
+  std::vector<Concept> snapshotConcepts(const Context &Ctx,
                                         size_t Cap = SIZE_MAX) const;
 
   /// Convenience: runs the incremental algorithm over all objects of
@@ -73,13 +75,17 @@ public:
   static ConceptLattice buildLattice(const Context &Ctx);
 
   /// Budgeted construction: the full lattice when the budget suffices,
-  /// otherwise a partial lattice flagged Truncated, containing the
-  /// concepts of the objects inserted before exhaustion plus the full
-  /// context's top and bottom (see BuildResult.h).
+  /// otherwise a partial lattice flagged Truncated: the full-context
+  /// concepts whose intents are those of the objects inserted before
+  /// exhaustion, plus the full context's top and bottom (see
+  /// BuildResult.h).
   static LatticeBuildResult buildLatticeBudgeted(const Context &Ctx,
                                                  const BudgetMeter &Meter);
 
 private:
+  /// build() over \p Ctx, the context of exactly the added objects.
+  ConceptLattice build(const Context &Ctx) const;
+
   size_t NumAttributes;
   size_t NumObjects = 0;
   std::vector<Concept> Concepts;

@@ -30,6 +30,8 @@
 
 namespace cable {
 
+class ThreadPool;
+
 /// Metadata stamped into (serialize) and verified against (deserialize) a
 /// `cable-lattice/1` artifact. The (ContextHash, Builder, Budget) triple is
 /// the artifact store's content-addressing key; object/attribute counts
@@ -72,10 +74,28 @@ class ConceptLattice {
 public:
   using NodeId = uint32_t;
 
-  /// Builds from a complete set of concepts (covers are computed here).
-  /// \p Concepts must be exactly the concepts of some context, including
-  /// top and bottom.
+  /// Builds from any family of concepts that contains its top and bottom
+  /// (covers are computed here by a pairwise scan, quadratic in the family
+  /// size, which needs nothing but the family). The builders use it only
+  /// for budget-truncated families, complete ones going through
+  /// fromCompleteConcepts; the tests use it as that function's oracle.
   static ConceptLattice fromConcepts(std::vector<Concept> Concepts);
+
+  /// Builds from *every* concept of \p Ctx, in any order, computing the
+  /// Hasse diagram by attribute-side neighbour search (Lindig, "Fast
+  /// Concept Analysis", 2000): the lower covers of (A, B) are the closures
+  /// of B ∪ {m}, m ∉ B, that pull in no attribute still known to
+  /// generate a smaller one. Each closure must be a member of the family,
+  /// which is why the family must be complete. With a \p Pool of more
+  /// than one thread the concepts are searched in parallel. Node ids,
+  /// concepts, and both adjacency lists (each ordered by ascending extent
+  /// cardinality, then node id) come out identical to fromConcepts on the
+  /// same vector, with or without a pool. Fails, building nothing, when a
+  /// closure is missing from the family or two concepts share an intent:
+  /// the family is then not every concept of \p Ctx.
+  static StatusOr<ConceptLattice>
+  fromCompleteConcepts(const Context &Ctx, std::vector<Concept> Concepts,
+                       ThreadPool *Pool = nullptr);
 
   /// Builds from concepts plus an externally computed cover relation
   /// (pairs are (parent, child) node indices into \p Concepts). Used by
@@ -126,22 +146,6 @@ public:
   /// each of its children).
   std::vector<NodeId> topDownOrder() const;
 
-  /// The canonical scan order cover computation uses: ascending extent
-  /// cardinality, ties broken by node id. \p Card[i] must be the extent
-  /// cardinality of concept i. Exposed so batch builders that compute the
-  /// cover relation themselves (in parallel) reproduce fromConcepts
-  /// bit-for-bit.
-  static std::vector<NodeId> coverScanOrder(const std::vector<size_t> &Card);
-
-  /// Upper covers of the concept at scan position \p AI: the minimal
-  /// strict superset extents among later scan positions, in scan order.
-  /// Pure function of its arguments, safe to call concurrently for
-  /// different positions.
-  static std::vector<NodeId> coversAt(const std::vector<Concept> &Concepts,
-                                      const std::vector<NodeId> &Order,
-                                      const std::vector<size_t> &Card,
-                                      size_t AI);
-
   /// Encodes the lattice as a `cable-lattice/1` artifact (docs/FORMATS.md):
   /// a fixed little-endian preamble (magic, format version, section
   /// lengths and CRCs), a hand-readable text header carrying \p Meta and
@@ -184,6 +188,19 @@ private:
   std::vector<std::vector<NodeId>> Children;
   NodeId Top = 0;
   NodeId Bottom = 0;
+
+  /// The canonical order of both adjacency lists: ascending extent
+  /// cardinality, ties broken by node id. \p Card[i] must be the extent
+  /// cardinality of concept i.
+  static std::vector<NodeId> coverScanOrder(const std::vector<size_t> &Card);
+
+  /// Upper covers of the concept at scan position \p AI: the minimal
+  /// strict superset extents among later scan positions, in scan order.
+  /// The pairwise scan behind fromConcepts, quadratic in the family size.
+  static std::vector<NodeId> coversAt(const std::vector<Concept> &Concepts,
+                                      const std::vector<NodeId> &Order,
+                                      const std::vector<size_t> &Card,
+                                      size_t AI);
 
   void computeCovers();
   void locateTopAndBottom();

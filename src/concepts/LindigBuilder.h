@@ -12,8 +12,10 @@
 /// edges in one pass. This is the third independent construction in the
 /// library — Godin (incremental, the paper's algorithm) and NextClosure
 /// (lectic enumeration) produce the concept set, with covers derived
-/// afterwards; Lindig produces covers natively, so the three
-/// cross-validate both the concept set and the edge set.
+/// afterwards by the dual, attribute-side neighbour search
+/// (ConceptLattice::fromCompleteConcepts); Lindig produces covers
+/// natively on the object side, so the three cross-validate both the
+/// concept set and the edge set.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -91,15 +91,28 @@ NextClosureBuilder::allClosedIntents(const Context &Ctx) {
   return Out;
 }
 
-ConceptLattice NextClosureBuilder::buildLattice(const Context &Ctx) {
+namespace {
+
+/// The lattice of a complete lectic enumeration: extents derived here,
+/// covers by neighbour search.
+ConceptLattice latticeOfIntents(const Context &Ctx,
+                                std::vector<BitVector> Intents) {
   std::vector<Concept> Concepts;
-  for (BitVector &Intent : allClosedIntents(Ctx)) {
+  Concepts.reserve(Intents.size());
+  for (BitVector &Intent : Intents) {
     Concept C;
     C.Extent = Ctx.tau(Intent);
     C.Intent = std::move(Intent);
     Concepts.push_back(std::move(C));
   }
-  return ConceptLattice::fromConcepts(std::move(Concepts));
+  return expectComplete(
+      ConceptLattice::fromCompleteConcepts(Ctx, std::move(Concepts)));
+}
+
+} // namespace
+
+ConceptLattice NextClosureBuilder::buildLattice(const Context &Ctx) {
+  return latticeOfIntents(Ctx, allClosedIntents(Ctx));
 }
 
 std::vector<BitVector>
@@ -203,7 +216,7 @@ NextClosureBuilder::buildLatticeBudgeted(const Context &Ctx,
     std::vector<BitVector> Intents =
         allClosedIntentsBudgeted(Ctx, Meter, Stop);
     // If the deadline hit right as enumeration finished, do not start the
-    // quadratic cover computation over a possibly huge complete set.
+    // cover computation over a possibly huge complete set.
     if (Stop == BuildStop::Complete && Meter.expired())
       Stop = BuildStop::Time;
     if (Stop != BuildStop::Complete) {
@@ -214,15 +227,7 @@ NextClosureBuilder::buildLatticeBudgeted(const Context &Ctx,
 
     LatticeBuildResult R;
     R.NumEnumerated = Intents.size();
-    std::vector<Concept> Concepts;
-    Concepts.reserve(Intents.size());
-    for (BitVector &Intent : Intents) {
-      Concept C;
-      C.Extent = Ctx.tau(Intent);
-      C.Intent = std::move(Intent);
-      Concepts.push_back(std::move(C));
-    }
-    R.Lattice = ConceptLattice::fromConcepts(std::move(Concepts));
+    R.Lattice = latticeOfIntents(Ctx, std::move(Intents));
     return R;
   } catch (const std::bad_alloc &) {
     // Last-resort boundary: extent or cover computation ran out of memory

@@ -167,56 +167,26 @@ std::vector<BitVector> ParallelBuilder::allClosedIntents(const Context &Ctx,
   return Out;
 }
 
-ConceptLattice ParallelBuilder::assembleLattice(const Context &Ctx,
-                                                ThreadPool &Pool,
-                                                std::vector<BitVector> Intents) {
-  using NodeId = ConceptLattice::NodeId;
-
-  TraceSpan Span("lattice-covers",
-                 static_cast<int64_t>(Intents.size()));
-  size_t N = Intents.size();
-
+StatusOr<ConceptLattice>
+ParallelBuilder::assembleLattice(const Context &Ctx, ThreadPool &Pool,
+                                 std::vector<BitVector> Intents) {
   // Extents shard trivially: every concept is written by exactly one
   // worker, at an index fixed by the canonical enumeration order.
-  std::vector<Concept> Concepts(N);
-  Pool.parallelFor(N, [&](size_t Begin, size_t End) {
+  std::vector<Concept> Concepts(Intents.size());
+  Pool.parallelFor(Intents.size(), [&](size_t Begin, size_t End) {
+    Metrics::DeferredCounts Counts; // One add per derivation counter.
     for (size_t I = Begin; I < End; ++I) {
       Concepts[I].Extent = Ctx.tau(Intents[I]);
       Concepts[I].Intent = std::move(Intents[I]);
     }
   });
-
-  // Cover relation: same canonical scan order as fromConcepts, the
-  // per-concept scans sharded across workers (each is a pure function of
-  // the read-only concept vector).
-  std::vector<size_t> Card(N);
-  Pool.parallelFor(N, [&](size_t Begin, size_t End) {
-    for (size_t I = Begin; I < End; ++I)
-      Card[I] = Concepts[I].Extent.count();
-  });
-  std::vector<NodeId> Order = ConceptLattice::coverScanOrder(Card);
-  std::vector<std::vector<NodeId>> CoversOf(N);
-  Pool.parallelFor(N, [&](size_t Begin, size_t End) {
-    for (size_t AI = Begin; AI < End; ++AI)
-      CoversOf[AI] = ConceptLattice::coversAt(Concepts, Order, Card, AI);
-  });
-
-  // Emit edges in the serial path's insertion order so the per-node
-  // parent/child lists come out identical.
-  std::vector<std::pair<NodeId, NodeId>> Edges;
-  size_t NumEdges = 0;
-  for (const std::vector<NodeId> &C : CoversOf)
-    NumEdges += C.size();
-  Edges.reserve(NumEdges);
-  for (size_t AI = 0; AI < N; ++AI)
-    for (NodeId B : CoversOf[AI])
-      Edges.emplace_back(B, Order[AI]);
-  return ConceptLattice::fromConceptsAndCovers(std::move(Concepts), Edges);
+  return ConceptLattice::fromCompleteConcepts(Ctx, std::move(Concepts), &Pool);
 }
 
 ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,
                                              ThreadPool &Pool) {
-  return assembleLattice(Ctx, Pool, allClosedIntents(Ctx, Pool));
+  return expectComplete(
+      assembleLattice(Ctx, Pool, allClosedIntents(Ctx, Pool)));
 }
 
 ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,
@@ -402,7 +372,7 @@ ParallelBuilder::buildLatticeBudgeted(const Context &Ctx,
 
     LatticeBuildResult R;
     R.NumEnumerated = Intents.size();
-    R.Lattice = assembleLattice(Ctx, Pool, std::move(Intents));
+    R.Lattice = expectComplete(assembleLattice(Ctx, Pool, std::move(Intents)));
     return R;
   } catch (const std::bad_alloc &) {
     // Boundary containment, as in NextClosureBuilder::buildLatticeBudgeted.

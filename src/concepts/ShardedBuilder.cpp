@@ -80,6 +80,9 @@ namespace {
 Failpoint::Registrar RegPostCompute("shard-post-compute");
 Failpoint::Registrar RegPreReply("shard-pre-reply");
 Failpoint::Registrar RegMidFrame("shard-mid-frame");
+// A buggy worker rather than a dying one: a well-formed reply one intent
+// short, which only the supervisor's completeness check can catch.
+Failpoint::Registrar RegDropIntent("shard-drop-intent");
 
 Metrics::Counter &ShardBuilds = Metrics::counter("shard.builds");
 Metrics::Counter &BlocksDispatched =
@@ -392,10 +395,13 @@ StatusOr<ShardReply> decodeReply(std::string_view S, size_t NumAttributes) {
 /// failpoint between them: a `crash` there leaves a genuinely torn frame
 /// on the wire, an `error` abandons the stream mid-frame (the worker bails
 /// like a failed write), a `hang` wedges with half a frame sent — each a
-/// distinct supervisor-recovery path.
-bool sendReplySplit(int Fd, std::string_view Payload) {
+/// distinct supervisor-recovery path. A non-empty \p Flush is a telemetry
+/// payload, framed and sent in the same write as the reply's second half.
+bool sendReplySplit(int Fd, std::string_view Payload, std::string_view Flush) {
   std::string Frame = encodeFramedRecord(Payload);
   size_t Half = Frame.size() / 2;
+  if (!Flush.empty())
+    Frame += encodeFramedRecord(Flush);
   if (!sendBytes(Fd, Frame.data(), Half).isOk())
     return false;
   if (!Failpoint::hit("shard-mid-frame").isOk())
@@ -424,7 +430,7 @@ int shardWorkerMain(const Context &Ctx, const BitVector &TopIntent, int Fd) {
   CABLE_LOG_INFO("shard", "shard-worker-started",
                  "worker online, serving block requests",
                  {Log::num("attributes", static_cast<int64_t>(M))});
-  auto flushTelemetry = [&](uint32_t Block, uint64_t FlowId) {
+  auto encodeFlush = [&](uint32_t Block, uint64_t FlowId) {
     std::vector<Metrics::Sample> Delta = Metrics::deltaSince(Baseline);
     std::vector<TraceLog::RawSpan> Spans = TraceLog::drainSpans();
     uint64_t Dropped = TraceLog::droppedCount();
@@ -438,7 +444,7 @@ int shardWorkerMain(const Context &Ctx, const BitVector &TopIntent, int Fd) {
     DroppedBase = Dropped;
     LogDroppedBase = LogDropped;
     Baseline = Metrics::snapshot();
-    return sendFrame(Fd, T).isOk();
+    return T;
   };
   for (;;) {
     StatusOr<std::string> FrameOr = recvFrame(Fd);
@@ -453,7 +459,7 @@ int shardWorkerMain(const Context &Ctx, const BitVector &TopIntent, int Fd) {
       // reply (for a worker that never served one, its whole life).
       uint8_t Telemetry = 0;
       if (getU8(In, Telemetry) && Telemetry &&
-          !flushTelemetry(ShutdownFlushBlock, 0))
+          !sendFrame(Fd, encodeFlush(ShutdownFlushBlock, 0)).isOk())
         return 9;
       return 0;
     }
@@ -483,6 +489,8 @@ int shardWorkerMain(const Context &Ctx, const BitVector &TopIntent, int Fd) {
         Intents = ParallelBuilder::blockIntentsBudgeted(
             Ctx, Block, TopIntent, WorkerMeter, Stop);
       }
+      if (!Intents.empty() && !Failpoint::hit("shard-drop-intent").isOk())
+        Intents.pop_back();
       if (Status S = Failpoint::hit("shard-post-compute"); !S.isOk())
         Reply = encodeErrorReply(Block, S);
       else {
@@ -499,9 +507,11 @@ int shardWorkerMain(const Context &Ctx, const BitVector &TopIntent, int Fd) {
                                "shard worker out of memory on block " +
                                    std::to_string(Block)));
     }
-    if (!sendReplySplit(Fd, Reply))
-      return 9;
-    if (Telemetry && !flushTelemetry(Block, FlowId))
+    // One write carries the reply and its flush, so the supervisor reads
+    // the flush as soon as it has the reply, without waiting for this
+    // process to run again.
+    if (!sendReplySplit(Fd, Reply,
+                        Telemetry ? encodeFlush(Block, FlowId) : std::string()))
       return 9;
   }
 }
@@ -986,11 +996,44 @@ private:
       std::this_thread::sleep_for(Nearest - Now);
   }
 
+  /// Ends one worker: kill, reap, close, mark dead.
+  void putDown(WorkerSlot &S) {
+    S.Proc.kill();
+    S.Proc.wait();
+    S.Proc.closeFd();
+    S.Alive = false;
+  }
+
+  /// Reaps a worker that was asked to quit, killing it if it is still
+  /// running at \p Until. Its socket end closes only when it exits, so
+  /// the wait blocks in poll until that EOF (or the grace runs out)
+  /// rather than sleeping in fixed quanta.
+  void awaitExit(WorkerSlot &S, Clock::time_point Until) {
+    while (!S.Proc.tryWait()) {
+      auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          Until - Clock::now());
+      if (Left.count() <= 0) {
+        S.Proc.kill();
+        break;
+      }
+      // Returns at once from EOF on, so only the last moments of the
+      // exit, between closing its files and becoming reapable, spin.
+      struct pollfd Fd = {S.Proc.fd(), POLLIN, 0};
+      ::poll(&Fd, 1, static_cast<int>(Left.count()));
+    }
+    S.Proc.wait();
+    S.Proc.closeFd();
+    S.Alive = false;
+  }
+
   void shutdownWorkers() {
     // Best-effort graceful quit so clean exits show up as such; a worker
     // that does not exit promptly is killed. Idle workers are blocked in
     // recvFrame, so 'Q' turns around fast. With telemetry armed the 'Q'
     // also requests a final flush, which the worker sends before exiting.
+    // Every worker is told to quit before any is waited on, so their
+    // flushes and exits overlap.
+    std::vector<WorkerSlot *> Quitting;
     for (WorkerSlot &S : Slots) {
       if (!S.Alive)
         continue;
@@ -1007,45 +1050,36 @@ private:
                           Log::num("block", S.Block)});
         }
         S.Block = -1;
-        S.Proc.kill();
-        S.Proc.wait();
-        S.Proc.closeFd();
-        S.Alive = false;
+        putDown(S);
         continue;
       }
       std::string Quit(1, 'Q');
       putU8(Quit, TelemetryOn ? 1 : 0);
-      bool Sent = sendFrame(S.Proc.fd(), Quit).isOk();
-      if (!Sent)
-        S.Proc.kill();
-      if (Sent && TelemetryOn) {
+      if (sendFrame(S.Proc.fd(), Quit).isOk())
+        Quitting.push_back(&S);
+      else
+        putDown(S);
+    }
+    if (TelemetryOn) {
+      for (WorkerSlot *S : Quitting) {
         // The final-flush handshake: a worker that cannot produce it
         // within a second forfeits the flush, never the shutdown.
-        StatusOr<std::string> FrameOr = recvFrame(S.Proc.fd(), 1000);
+        StatusOr<std::string> FrameOr = recvFrame(S->Proc.fd(), 1000);
         TelemetryRecord T;
         if (FrameOr && decodeTelemetry(*FrameOr, T)) {
-          mergeTelemetry(S, T);
+          mergeTelemetry(*S, T);
         } else {
           TelemetryLost.add();
           CABLE_LOG_WARN("shard", "shard-telemetry-lost",
                          "final flush not produced within the grace period",
-                         {Log::num("slot", S.Index)});
+                         {Log::num("slot", S->Index)});
         }
       }
-      if (Sent) {
-        // Give it a beat, then force.
-        for (int I = 0; I < 100 && S.Proc.running(); ++I) {
-          if (S.Proc.tryWait())
-            break;
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-        if (S.Proc.running())
-          S.Proc.kill();
-      }
-      S.Proc.wait();
-      S.Proc.closeFd();
-      S.Alive = false;
     }
+    // Give them a beat, then force.
+    Clock::time_point Until = Clock::now() + std::chrono::milliseconds(200);
+    for (WorkerSlot *S : Quitting)
+      awaitExit(*S, Until);
   }
 };
 
@@ -1137,7 +1171,20 @@ ShardedBuilder::buildLatticeBudgeted(const Context &Ctx,
     LatticeBuildResult R;
     R.NumEnumerated = Out.size();
     ThreadPool Pool(ThreadPool::resolveThreadCount(Opts.NumThreads));
-    R.Lattice = ParallelBuilder::assembleLattice(Ctx, Pool, std::move(Out));
+    StatusOr<ConceptLattice> L =
+        ParallelBuilder::assembleLattice(Ctx, Pool, std::move(Out));
+    if (!L) {
+      // Well-formed replies whose intents are not every concept: a buggy
+      // worker. Its output is dropped whole and the build redone here.
+      DegradedBuilds.add();
+      CABLE_LOG_WARN("shard", "shard-build-degraded",
+                     "worker intents are not every concept; whole build "
+                     "runs in-process",
+                     {Log::str("cause", L.status().message())});
+      return ParallelBuilder::buildLatticeBudgeted(Ctx, Meter,
+                                                   Opts.NumThreads);
+    }
+    R.Lattice = std::move(*L);
     return R;
   } catch (const std::bad_alloc &) {
     // Same boundary containment as the in-process builders.

@@ -32,6 +32,9 @@
 /// Worker-lifecycle failpoints (`shard-pre-fork`, `shard-post-compute`,
 /// `shard-pre-reply`, `shard-mid-frame`) fire in the worker process only;
 /// the kill matrix drives every supervisor recovery path through them.
+/// `shard-drop-intent` makes a worker reply one intent short: the merged
+/// family then fails the cover search's completeness check and the whole
+/// build reruns in-process.
 /// Supervision is surfaced through `shard.*` metrics, and when
 /// observability is armed the workers themselves are not blind spots:
 /// each block reply (and a final shutdown handshake) carries a telemetry

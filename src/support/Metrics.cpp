@@ -243,6 +243,12 @@ std::vector<Metrics::Sample> Metrics::snapshot() {
   return Out;
 }
 
+Metrics::DeferredCounts::~DeferredCounts() {
+  for (size_t I = 0; I < Used; ++I)
+    Targets[I]->fetch_add(Pending[I], std::memory_order_relaxed);
+  Active = Outer;
+}
+
 std::vector<Metrics::Sample>
 Metrics::deltaSince(const std::vector<Sample> &Baseline) {
   std::vector<Sample> Now = snapshot();

@@ -63,13 +63,57 @@ public:
 
   static void setEnabled(bool On);
 
+  /// Defers the counter adds of one thread: while one is alive, armed
+  /// Counter::add calls on its thread accumulate here, and the destructor
+  /// adds each counter's total once. For parallel loops that call
+  /// per-call-counted code (Context::sigmaInto, the fused kernels), where
+  /// every thread bumping the same few shared counters per iteration
+  /// would cost more than the work counted. Totals are unchanged. Scopes
+  /// nest; the innermost one collects.
+  class DeferredCounts {
+  public:
+    DeferredCounts() : Outer(Active) { Active = this; }
+    ~DeferredCounts();
+    DeferredCounts(const DeferredCounts &) = delete;
+    DeferredCounts &operator=(const DeferredCounts &) = delete;
+
+    /// The innermost scope alive on this thread, if any.
+    static DeferredCounts *active() { return Active; }
+
+    void defer(std::atomic<uint64_t> &Target, uint64_t N) {
+      for (size_t I = 0; I < Used; ++I)
+        if (Targets[I] == &Target) {
+          Pending[I] += N;
+          return;
+        }
+      if (Used == kSlots) {
+        Target.fetch_add(N, std::memory_order_relaxed);
+        return;
+      }
+      Targets[Used] = &Target;
+      Pending[Used++] = N;
+    }
+
+  private:
+    static constexpr size_t kSlots = 8;
+    static inline thread_local DeferredCounts *Active = nullptr;
+    DeferredCounts *Outer;
+    std::atomic<uint64_t> *Targets[kSlots];
+    uint64_t Pending[kSlots];
+    size_t Used = 0;
+  };
+
   /// A monotonically increasing count.
   class Counter {
   public:
     void add(uint64_t N = 1) {
 #ifndef CABLE_NO_INSTRUMENT
-      if (enabled())
-        V.fetch_add(N, std::memory_order_relaxed);
+      if (enabled()) {
+        if (DeferredCounts *D = DeferredCounts::active())
+          D->defer(V, N);
+        else
+          V.fetch_add(N, std::memory_order_relaxed);
+      }
 #else
       (void)N;
 #endif

@@ -217,14 +217,19 @@ void TraceLog::ingestRemote(int64_t Pid, std::string_view ProcessName,
 
 void TraceLog::resetAfterFork() {
   Global &G = global();
+  ThreadRing &Mine = myRing();
   std::lock_guard<std::mutex> Lock(G.Mutex);
-  for (const auto &R : G.Rings) {
-    std::lock_guard<std::mutex> RLock(R->Mutex);
-    R->Ring.clear();
-    R->Next = 0;
-    R->Total = 0;
-    R->Dropped = 0;
-  }
+  // Only the forking thread lives on in the child, so only its ring can
+  // ever record again; the others (every thread the parent ever ran)
+  // would just be walked by each drain.
+  std::erase_if(G.Rings, [&](const std::shared_ptr<ThreadRing> &R) {
+    return R.get() != &Mine;
+  });
+  std::lock_guard<std::mutex> RLock(Mine.Mutex);
+  Mine.Ring.clear();
+  Mine.Next = 0;
+  Mine.Total = 0;
+  Mine.Dropped = 0;
   G.Foreign.clear();
   G.ForeignProcs.clear();
   G.ForeignDropped = 0;

@@ -107,9 +107,10 @@ public:
   /// Forked children inherit the parent's ring contents (and any
   /// ingested foreign spans) by address-space copy; Subprocess::spawn
   /// calls this first thing in the child so worker flushes carry only the
-  /// worker's own spans. The epoch, ring registration, thread ids, and
-  /// names survive — fork preserves the steady-clock timeline, so parent
-  /// and child timestamps stay directly comparable.
+  /// worker's own spans. Only the calling thread's ring stays registered,
+  /// as no other thread exists in the child; the epoch and its thread id
+  /// and name survive — fork preserves the steady-clock timeline, so
+  /// parent and child timestamps stay directly comparable.
   static void resetAfterFork();
 
   /// Renders every recorded span as a Chrome trace-event JSON document.

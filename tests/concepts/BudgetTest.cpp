@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <set>
 #include <thread>
 
 using namespace cable;
@@ -79,6 +80,20 @@ Context randomContext(RNG &Rand, size_t MaxObjects, size_t MaxAttrs,
   return Ctx;
 }
 
+/// A context whose last object has every attribute (rows {0}, {1}, {2},
+/// {0,1}, {1,2}, {0,1,2,3}; 7 concepts). An incremental build cut before
+/// that object has its own top and bottom, neither of which is the full
+/// context's.
+Context fullLastRow() {
+  Context Ctx(6, 4);
+  const std::vector<std::vector<size_t>> Rows = {{0},    {1},    {2},
+                                                 {0, 1}, {1, 2}, {0, 1, 2, 3}};
+  for (size_t O = 0; O < Rows.size(); ++O)
+    for (size_t A : Rows[O])
+      Ctx.relate(O, A);
+  return Ctx;
+}
+
 /// Structural sanity of any (possibly truncated) lattice over \p Ctx.
 void expectWellFormed(const ConceptLattice &L, const Context &Ctx) {
   ASSERT_GE(L.size(), 1u);
@@ -90,12 +105,16 @@ void expectWellFormed(const ConceptLattice &L, const Context &Ctx) {
   AllAttrs.setAll();
   const Concept &Bottom = L.node(L.bottom());
   EXPECT_EQ(Bottom.Extent.toIndices(), Ctx.tau(AllAttrs).toIndices());
-  // Every intent is exact (Godin's truncated snapshots are sub-context
-  // concepts, so extents need not be tau-closed over the full context),
-  // and every cover edge is a strict superset relation on extents.
+  // Every node is a genuine concept of the full context, no intent
+  // appears twice, and every cover edge is a strict superset relation on
+  // extents.
+  std::set<std::vector<size_t>> Intents;
   for (ConceptLattice::NodeId Id = 0; Id < L.size(); ++Id) {
     const Concept &C = L.node(Id);
     EXPECT_EQ(Ctx.sigma(C.Extent).toIndices(), C.Intent.toIndices());
+    EXPECT_EQ(Ctx.tau(C.Intent).toIndices(), C.Extent.toIndices());
+    EXPECT_TRUE(Intents.insert(C.Intent.toIndices()).second)
+        << "duplicate intent at node " << Id;
     for (ConceptLattice::NodeId Child : L.children(Id)) {
       EXPECT_TRUE(L.node(Child).Extent.isSubsetOf(C.Extent));
       EXPECT_LT(L.node(Child).Extent.count(), C.Extent.count());
@@ -172,18 +191,28 @@ TEST(BudgetBuilderTest, DeadlineTruncatesEveryBuilderInTime) {
 }
 
 TEST(BudgetBuilderTest, ConceptCapTruncatesEveryBuilder) {
-  Context Ctx = contranominal(16); // 65536 concepts in full.
-  for (const NamedBuilder &B : allBudgetedBuilders()) {
-    SCOPED_TRACE(B.Name);
-    Budget Limits;
-    Limits.MaxConcepts = 500;
-    BudgetMeter Meter(Limits);
-    LatticeBuildResult R = B.Run(Ctx, Meter);
-    EXPECT_TRUE(R.Truncated);
-    EXPECT_EQ(R.BuildStatus.code(), ErrorCode::ResourceExhausted);
-    expectWellFormed(R.Lattice, Ctx);
-    // Cap + the always-ensured top and bottom.
-    EXPECT_LE(R.Lattice.size(), 502u);
+  struct Case {
+    const char *Name;
+    Context Ctx;
+    size_t Cap;
+  };
+  std::vector<Case> Cases = {{"contranominal(16)", contranominal(16), 500}};
+  for (size_t Cap = 2; Cap <= 6; ++Cap)
+    Cases.push_back({"full last row", fullLastRow(), Cap});
+  for (const Case &C : Cases) {
+    for (const NamedBuilder &B : allBudgetedBuilders()) {
+      SCOPED_TRACE(std::string(C.Name) + " cap " + std::to_string(C.Cap) +
+                   " " + B.Name);
+      Budget Limits;
+      Limits.MaxConcepts = C.Cap;
+      BudgetMeter Meter(Limits);
+      LatticeBuildResult R = B.Run(C.Ctx, Meter);
+      EXPECT_TRUE(R.Truncated);
+      EXPECT_EQ(R.BuildStatus.code(), ErrorCode::ResourceExhausted);
+      expectWellFormed(R.Lattice, C.Ctx);
+      // Cap + the always-ensured top and bottom.
+      EXPECT_LE(R.Lattice.size(), C.Cap + 2);
+    }
   }
 }
 
@@ -314,12 +343,11 @@ TEST(BudgetBuilderTest, CappedGodinSnapshotMatchesTrimmingTheFullSnapshot) {
     for (size_t Cap : {size_t(0), size_t(1), size_t(7), size_t(64),
                        B.numConcepts(), B.numConcepts() + 1}) {
       SCOPED_TRACE(Cap);
-      std::vector<Concept> Capped = B.snapshotConcepts(Ctx.numObjects(), Cap);
+      std::vector<Concept> Capped = B.snapshotConcepts(Ctx, Cap);
       EXPECT_EQ(Capped.size(), std::min(Cap, B.numConcepts()));
       expectIdentical(
           finalizeTruncatedConcepts(Ctx, std::move(Capped), Cap),
-          finalizeTruncatedConcepts(Ctx, B.snapshotConcepts(Ctx.numObjects()),
-                                    Cap));
+          finalizeTruncatedConcepts(Ctx, B.snapshotConcepts(Ctx), Cap));
     }
   }
 }

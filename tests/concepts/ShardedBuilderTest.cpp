@@ -248,6 +248,21 @@ TEST_F(ShardedFaultTest, WedgedWorkerIsTimedOutAndRecovered) {
       "post-compute hang");
 }
 
+TEST_F(ShardedFaultTest, WellFormedReplyMissingAnIntentRerunsInProcess) {
+  // Every worker answers each nonempty block one intent short: the frames
+  // pass every structural check, the merged family fails the cover
+  // search's completeness check, and the supervisor redoes the build
+  // in-process instead of aborting or returning a wrong lattice.
+  Context Ctx = contranominalContext();
+  ASSERT_TRUE(Failpoint::configure("shard-drop-intent=error").isOk());
+  Metrics::reset();
+  Metrics::setEnabled(true);
+  expectShardedMatchesSerial(Ctx, shardOpts(2), "drop-intent");
+  EXPECT_EQ(Metrics::counterValue("shard.degraded-builds"), 1u);
+  Metrics::setEnabled(false);
+  Metrics::reset();
+}
+
 TEST_F(ShardedFaultTest, FaultsUnderAConceptCapKeepTheCutExact) {
   // Crash-recovery and budget truncation compose: the reassembled prefix
   // under MaxConcepts is still the serial one.

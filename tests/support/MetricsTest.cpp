@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -74,6 +75,40 @@ TEST_F(MetricsTest, ConcurrentCounterIncrementsAreExact) {
   for (std::thread &T : Threads)
     T.join();
   EXPECT_EQ(C.value(), NumThreads * PerThread);
+}
+
+TEST_F(MetricsTest, DeferredCountsAddTheSameTotalsOnceTheScopeEnds) {
+  // More distinct counters than a scope has slots (the rest go straight
+  // through), a nested scope, and several threads each with their own.
+  constexpr int NumThreads = 4;
+  constexpr int NumCounters = 12;
+  std::vector<Metrics::Counter *> Cs;
+  for (int I = 0; I < NumCounters; ++I)
+    Cs.push_back(&Metrics::counter("test.deferred." + std::to_string(I)));
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&Cs] {
+      Metrics::DeferredCounts Outer;
+      for (int Round = 0; Round < 100; ++Round) {
+        for (int I = 0; I < NumCounters; ++I)
+          Cs[I]->add(I + 1);
+        Metrics::DeferredCounts Inner;
+        Cs[0]->add(1000);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (int I = 0; I < NumCounters; ++I)
+    EXPECT_EQ(Cs[I]->value(),
+              NumThreads * 100u * (I + 1) + (I == 0 ? NumThreads * 100000u : 0))
+        << "counter " << I;
+  // Held back while the scope lives.
+  {
+    Metrics::DeferredCounts Scope;
+    Cs[1]->add(5);
+    EXPECT_EQ(Cs[1]->value(), NumThreads * 200u);
+  }
+  EXPECT_EQ(Cs[1]->value(), NumThreads * 200u + 5);
 }
 
 TEST_F(MetricsTest, ConcurrentHistogramCountsAreExact) {
