@@ -19,8 +19,10 @@ using namespace cable;
 
 namespace {
 
-// Fused-derivation call volume, split by operator. One flush per call;
-// the disarmed cost is a single relaxed load (see support/Metrics.h).
+// Standalone derivation calls, split by operator: sigma/tau and their
+// Into forms. The closures and sigmaOfMeetInto run in builder loops that
+// count their own work (`lattice.closures`, or a per-thread add to
+// context.sigma-calls), so those loops carry no gate per call.
 Metrics::Counter &NumSigma = Metrics::counter("context.sigma-calls");
 Metrics::Counter &NumTau = Metrics::counter("context.tau-calls");
 
@@ -136,9 +138,19 @@ BitVector Context::tauReference(const BitVector &Attrs) const {
 }
 
 void Context::sigmaInto(const BitVector &Objects, BitVector &Out) const {
+  NumSigma.add();
+  sigmaIntoUncounted(Objects, Out);
+}
+
+void Context::tauInto(const BitVector &Attrs, BitVector &Out) const {
+  NumTau.add();
+  tauIntoUncounted(Attrs, Out);
+}
+
+void Context::sigmaIntoUncounted(const BitVector &Objects,
+                                 BitVector &Out) const {
   assert(Objects.size() == numObjects() && "object universe mismatch");
   assert(Out.size() == numAttributes() && "output universe mismatch");
-  NumSigma.add();
   Out.setAll();
   if (UseReferencePaths) {
     for (size_t O : Objects)
@@ -150,10 +162,9 @@ void Context::sigmaInto(const BitVector &Objects, BitVector &Out) const {
   assert(Out.tailIsClean());
 }
 
-void Context::tauInto(const BitVector &Attrs, BitVector &Out) const {
+void Context::tauIntoUncounted(const BitVector &Attrs, BitVector &Out) const {
   assert(Attrs.size() == numAttributes() && "attribute universe mismatch");
   assert(Out.size() == numObjects() && "output universe mismatch");
-  NumTau.add();
   Out.setAll();
   if (UseReferencePaths) {
     for (size_t A : Attrs)
@@ -162,6 +173,49 @@ void Context::tauInto(const BitVector &Attrs, BitVector &Out) const {
   }
   simd::andSelectInto(Out.words(), ColArena.data(), ColStride, Attrs.words(),
                       Attrs.numWords(), Out.numWords());
+  assert(Out.tailIsClean());
+}
+
+void Context::sigmaOfMeetInto(const BitVector &Objects, size_t Attr,
+                              BitVector &Out) const {
+  assert(Objects.size() == numObjects() && "object universe mismatch");
+  assert(Out.size() == numAttributes() && "output universe mismatch");
+  assert(Attr < numAttributes() && "attribute out of range");
+  Out.setAll();
+  if (UseReferencePaths) {
+    for (size_t O : Objects)
+      if (AttributeColsRef[Attr].test(O))
+        Out &= ObjectRows[O];
+    return;
+  }
+  const uint64_t *Sel = Objects.words();
+  const uint64_t *Col = ColArena.data() + Attr * ColStride;
+  uint64_t *Dst = Out.words();
+  if (RowStride == 1) {
+    // One-word intents fold in a register, as in closeIntent1xN.
+    uint64_t Intent = Dst[0];
+    for (size_t W = 0; W < ColStride; ++W) {
+      uint64_t Bits = Sel[W] & Col[W];
+      const uint64_t *Base = RowArena.data() + W * 64;
+      while (Bits != 0) {
+        Intent &= Base[static_cast<size_t>(std::countr_zero(Bits))];
+        Bits &= Bits - 1;
+      }
+    }
+    Dst[0] = Intent;
+    return;
+  }
+  for (size_t W = 0; W < ColStride; ++W) {
+    uint64_t Bits = Sel[W] & Col[W];
+    while (Bits != 0) {
+      const uint64_t *Row =
+          RowArena.data() +
+          (W * 64 + static_cast<size_t>(std::countr_zero(Bits))) * RowStride;
+      Bits &= Bits - 1;
+      for (size_t I = 0; I < RowStride; ++I)
+        Dst[I] &= Row[I];
+    }
+  }
   assert(Out.tailIsClean());
 }
 
@@ -200,8 +254,6 @@ void Context::closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
       ColStride <= 8) {
     assert(Attrs.size() == NAttr && Out.size() == NAttr &&
            ObjScratch.size() == NObj && "universe mismatch");
-    NumTau.add();
-    NumSigma.add();
     uint64_t Sel = Attrs.words()[0];
     uint64_t ObjMask = ObjScratch.tailMask(), AttrMask = Out.tailMask();
     uint64_t *Ext = ObjScratch.words(), *Int = Out.words();
@@ -242,8 +294,8 @@ void Context::closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
     assert(Out.tailIsClean() && ObjScratch.tailIsClean());
     return;
   }
-  tauInto(Attrs, ObjScratch);
-  sigmaInto(ObjScratch, Out);
+  tauIntoUncounted(Attrs, ObjScratch);
+  sigmaIntoUncounted(ObjScratch, Out);
 }
 
 void Context::closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,
@@ -252,8 +304,6 @@ void Context::closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,
       ColStride <= 8) {
     assert(Objects.size() == NObj && Out.size() == NObj &&
            AttrScratch.size() == NAttr && "universe mismatch");
-    NumSigma.add();
-    NumTau.add();
     const uint64_t *Sel = Objects.words();
     uint64_t ObjMask = Out.tailMask(), AttrMask = AttrScratch.tailMask();
     uint64_t *Int = AttrScratch.words(), *Ext = Out.words();
@@ -294,8 +344,8 @@ void Context::closeExtentInto(const BitVector &Objects, BitVector &AttrScratch,
     assert(Out.tailIsClean() && AttrScratch.tailIsClean());
     return;
   }
-  sigmaInto(Objects, AttrScratch);
-  tauInto(AttrScratch, Out);
+  sigmaIntoUncounted(Objects, AttrScratch);
+  tauIntoUncounted(AttrScratch, Out);
 }
 
 std::string Context::contentHash() const {

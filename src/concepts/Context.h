@@ -77,6 +77,15 @@ public:
   /// tau into a caller-owned buffer sized numObjects().
   void tauInto(const BitVector &Attrs, BitVector &Out) const;
 
+  /// sigma(Objects ∩ attributeCol(Attr)) into \p Out (sized
+  /// numAttributes()) in one pass, with no intermediate object set: the
+  /// cover search's step from a concept to the one \p Attr generates.
+  /// Unlike sigmaInto it touches no metric, so it adds no disarmed gate to
+  /// the loop around it; such loops add their call total to
+  /// `context.sigma-calls` once.
+  void sigmaOfMeetInto(const BitVector &Objects, size_t Attr,
+                       BitVector &Out) const;
+
   /// Extent closure: tau(sigma(Objects)).
   BitVector closeExtent(const BitVector &Objects) const;
 
@@ -85,7 +94,8 @@ public:
 
   /// Allocation-free intent closure: \p ObjScratch must be sized
   /// numObjects(), \p Out numAttributes(). The builders call this once
-  /// per lectic candidate, so it must not touch the heap.
+  /// per lectic candidate, so it must not touch the heap. Neither closure
+  /// touches a metric: the builders count them on `lattice.closures`.
   void closeIntentInto(const BitVector &Attrs, BitVector &ObjScratch,
                        BitVector &Out) const;
 
@@ -128,7 +138,7 @@ public:
   /// little-endian byte order). This is the content-addressing key of the
   /// lattice artifact store, so it is computed with a plain scalar loop —
   /// never a SIMD kernel — and is byte-identical regardless of the
-  /// CABLE_KERNEL dispatch level, thread count, or shard-worker count.
+  /// CABLE_KERNEL dispatch level or thread count.
   /// Arena tail bits past numAttributes() are always zero (only relate()
   /// writes them), so the digest is a pure function of the relation.
   std::string contentHash() const;
@@ -146,6 +156,10 @@ public:
   std::vector<std::string> AttributeNames;
 
 private:
+  /// sigmaInto/tauInto without the call counters, for the closures.
+  void sigmaIntoUncounted(const BitVector &Objects, BitVector &Out) const;
+  void tauIntoUncounted(const BitVector &Attrs, BitVector &Out) const;
+
   size_t NObj = 0;
   size_t NAttr = 0;
   /// Words per row in RowArena: ceil(NAttr / 64).

@@ -25,6 +25,13 @@
 
 using namespace cable;
 
+namespace {
+
+// The same registry entry Context's derivations count into.
+Metrics::Counter &NumSigma = Metrics::counter("context.sigma-calls");
+
+} // namespace
+
 ConceptLattice ConceptLattice::fromConcepts(std::vector<Concept> Concepts) {
   assert(!Concepts.empty() && "a concept lattice is never empty");
   ConceptLattice L;
@@ -72,7 +79,7 @@ std::vector<ConceptLattice::NodeId>
 ConceptLattice::coverScanOrder(const std::vector<size_t> &Card) {
   std::vector<NodeId> Order(Card.size());
   std::iota(Order.begin(), Order.end(), 0);
-  // The id tie-break makes the order a total one, so serial and sharded
+  // The id tie-break makes the order a total one, so serial and parallel
   // cover computation see the same scan sequence.
   std::sort(Order.begin(), Order.end(), [&](NodeId A, NodeId B) {
     return Card[A] != Card[B] ? Card[A] < Card[B] : A < B;
@@ -131,9 +138,11 @@ namespace {
 /// Per-worker buffers for lowerCovers, sized to the context once.
 struct NeighbourScratch {
   explicit NeighbourScratch(const Context &Ctx)
-      : Generated(Ctx.numObjects()), Generators(Ctx.numAttributes()),
-        Min(Ctx.numAttributes()), Closed(Ctx.numAttributes()) {}
-  BitVector Generated, Generators, Min, Closed;
+      : Generators(Ctx.numAttributes()), Min(Ctx.numAttributes()),
+        Closed(Ctx.numAttributes()) {}
+  BitVector Generators, Min, Closed;
+  /// sigma evaluations, added to `context.sigma-calls` once per stripe.
+  uint64_t SigmaCalls = 0;
 };
 
 /// Appends the lower covers of \p C in the lattice of every concept of
@@ -155,9 +164,8 @@ bool lowerCovers(const Context &Ctx, const WordSetArena &Index,
   const uint64_t *Closed = S.Closed.words();
   const uint64_t *Min = S.Min.words();
   for (size_t M : S.Generators) {
-    S.Generated = C.Extent;
-    S.Generated &= Ctx.attributeCol(M);
-    Ctx.sigmaInto(S.Generated, S.Closed);
+    Ctx.sigmaOfMeetInto(C.Extent, M, S.Closed);
+    ++S.SigmaCalls;
     bool Minimal = true;
     for (size_t W = 0; W < IntentWords && Minimal; ++W) {
       uint64_t Pulled = Closed[W] & Min[W];
@@ -208,20 +216,20 @@ StatusOr<ConceptLattice> ConceptLattice::fromCompleteConcepts(
   L.Children.assign(N, {});
   std::atomic<bool> Incomplete{false};
   auto SearchStripe = [&](size_t First, size_t Stride) {
-    // One add per counter and stripe, not per closure, so armed workers
-    // do not contend for the closure counters.
-    Metrics::DeferredCounts Counts;
     NeighbourScratch S(Ctx);
     for (size_t I = First; I < N && !Incomplete.load(std::memory_order_relaxed);
          I += Stride) {
       std::vector<NodeId> &Out = L.Children[I];
       if (!lowerCovers(Ctx, Index, L.Concepts[I], S, Out)) {
         Incomplete.store(true, std::memory_order_relaxed);
-        return;
+        break;
       }
       std::sort(Out.begin(), Out.end(),
                 [&](NodeId X, NodeId Y) { return Rank[X] < Rank[Y]; });
     }
+    // One add per stripe, not per closure: the search loop itself holds
+    // no metric gate, and armed workers do not contend for the counter.
+    NumSigma.add(S.SigmaCalls);
   };
   size_t Stripes = Pool ? std::min<size_t>(Pool->numThreads(), N) : 1;
   if (Stripes > 1)

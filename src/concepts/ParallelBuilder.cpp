@@ -72,7 +72,7 @@ std::vector<BitVector> ParallelBuilder::blockIntents(const Context &Ctx,
     // ways), so the probe is free — and must not be counted: the serial
     // enumerator reaches this block by successor steps from closure(∅)
     // without ever computing closure({p}), and lattice.closures is kept
-    // schedule-invariant (serial == parallel == sharded).
+    // schedule-invariant (serial == parallel).
     A = TopIntent;
   } else {
     B.set(P);
@@ -167,10 +167,14 @@ std::vector<BitVector> ParallelBuilder::allClosedIntents(const Context &Ctx,
   return Out;
 }
 
-StatusOr<ConceptLattice>
-ParallelBuilder::assembleLattice(const Context &Ctx, ThreadPool &Pool,
-                                 std::vector<BitVector> Intents) {
-  // Extents shard trivially: every concept is written by exactly one
+namespace {
+
+/// Shared tail of every complete-construction path: computes extents and
+/// the cover relation for \p Intents, a complete lectic enumeration of
+/// \p Ctx's closed intents, both split across \p Pool.
+ConceptLattice assembleLattice(const Context &Ctx, ThreadPool &Pool,
+                               std::vector<BitVector> Intents) {
+  // Extents split trivially: every concept is written by exactly one
   // worker, at an index fixed by the canonical enumeration order.
   std::vector<Concept> Concepts(Intents.size());
   Pool.parallelFor(Intents.size(), [&](size_t Begin, size_t End) {
@@ -180,29 +184,17 @@ ParallelBuilder::assembleLattice(const Context &Ctx, ThreadPool &Pool,
       Concepts[I].Intent = std::move(Intents[I]);
     }
   });
-  return ConceptLattice::fromCompleteConcepts(Ctx, std::move(Concepts), &Pool);
-}
-
-ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,
-                                             ThreadPool &Pool) {
   return expectComplete(
-      assembleLattice(Ctx, Pool, allClosedIntents(Ctx, Pool)));
+      ConceptLattice::fromCompleteConcepts(Ctx, std::move(Concepts), &Pool));
 }
 
-ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,
-                                             unsigned NumThreads) {
-  unsigned Resolved = ThreadPool::resolveThreadCount(NumThreads);
-  if (Resolved == 1)
-    return NextClosureBuilder::buildLattice(Ctx); // Exact serial fallback.
-  ThreadPool Pool(Resolved);
-  return buildLattice(Ctx, Pool);
-}
-
-std::vector<BitVector>
-ParallelBuilder::blockIntentsBudgeted(const Context &Ctx, size_t P,
-                                      const BitVector &TopIntent,
-                                      const BudgetMeter &Meter,
-                                      BuildStop &Stop) {
+/// Budgeted ParallelBuilder::blockIntents: checks \p Meter before every
+/// candidate closure and stops after Budget::MaxConcepts intents *within
+/// this block*. The result is always a lectic prefix of the block.
+std::vector<BitVector> blockIntentsBudgeted(const Context &Ctx, size_t P,
+                                            const BitVector &TopIntent,
+                                            const BudgetMeter &Meter,
+                                            BuildStop &Stop) {
   TraceSpan Span("lattice-block", static_cast<int64_t>(P));
   size_t M = Ctx.numAttributes();
   size_t Max = Meter.budget().MaxConcepts.value_or(SIZE_MAX);
@@ -293,11 +285,13 @@ ParallelBuilder::blockIntentsBudgeted(const Context &Ctx, size_t P,
   return Out;
 }
 
-std::vector<BitVector>
-ParallelBuilder::allClosedIntentsBudgeted(const Context &Ctx,
-                                          ThreadPool &Pool,
-                                          const BudgetMeter &Meter,
-                                          BuildStop &Stop) {
+/// Budgeted ParallelBuilder::allClosedIntents: always returns a (possibly
+/// complete) prefix of the full lectic enumeration; \p Stop reports
+/// whether and why it is proper.
+std::vector<BitVector> allClosedIntentsBudgeted(const Context &Ctx,
+                                                ThreadPool &Pool,
+                                                const BudgetMeter &Meter,
+                                                BuildStop &Stop) {
   TraceSpan Span("lattice-enumerate");
   size_t M = Ctx.numAttributes();
   size_t Max = Meter.budget().MaxConcepts.value_or(SIZE_MAX);
@@ -342,6 +336,22 @@ ParallelBuilder::allClosedIntentsBudgeted(const Context &Ctx,
   return Out;
 }
 
+} // namespace
+
+ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,
+                                             ThreadPool &Pool) {
+  return assembleLattice(Ctx, Pool, allClosedIntents(Ctx, Pool));
+}
+
+ConceptLattice ParallelBuilder::buildLattice(const Context &Ctx,
+                                             unsigned NumThreads) {
+  unsigned Resolved = ThreadPool::resolveThreadCount(NumThreads);
+  if (Resolved == 1)
+    return NextClosureBuilder::buildLattice(Ctx); // Exact serial fallback.
+  ThreadPool Pool(Resolved);
+  return buildLattice(Ctx, Pool);
+}
+
 LatticeBuildResult
 ParallelBuilder::buildLatticeBudgeted(const Context &Ctx,
                                       const BudgetMeter &Meter,
@@ -372,7 +382,7 @@ ParallelBuilder::buildLatticeBudgeted(const Context &Ctx,
 
     LatticeBuildResult R;
     R.NumEnumerated = Intents.size();
-    R.Lattice = expectComplete(assembleLattice(Ctx, Pool, std::move(Intents)));
+    R.Lattice = assembleLattice(Ctx, Pool, std::move(Intents));
     return R;
   } catch (const std::bad_alloc &) {
     // Boundary containment, as in NextClosureBuilder::buildLatticeBudgeted.

@@ -263,8 +263,7 @@ void openDumpFile(int Pid) {
 void fatalSignalHandler(int Sig) {
   CrashDump::dumpNow("signal", Sig);
   // Restore the default disposition and re-raise so the wait status still
-  // says "killed by Sig" — the shard supervisor's crash accounting and the
-  // kill matrix both key off it.
+  // says "killed by Sig" — the kill matrix keys off it.
   ::signal(Sig, SIG_DFL);
   ::raise(Sig);
 }
@@ -314,31 +313,6 @@ void CrashDump::installAt(const char *Tool, const char *Dir) {
 
 bool CrashDump::installed() {
   return GInstalled.load(std::memory_order_relaxed);
-}
-
-const char *CrashDump::directory() {
-  return GInstalled.load(std::memory_order_relaxed) ? GDir : "";
-}
-
-std::string CrashDump::dumpPathForPid(int Pid) {
-  if (!GInstalled.load(std::memory_order_relaxed))
-    return std::string();
-  return std::string(GDir) + "/crash." + std::to_string(Pid) + ".json";
-}
-
-void CrashDump::reinstallAfterFork() {
-  // Artifact paths belong to the parent; a worker flushing them on SIGTERM
-  // would clobber the supervisor's files.
-  GArtifactsRegistered.store(false, std::memory_order_relaxed);
-  GArtifactsWritten.store(0, std::memory_order_relaxed);
-  if (!GInstalled.load(std::memory_order_relaxed))
-    return;
-  if (GFd >= 0)
-    ::close(GFd);
-  GDumped.store(0, std::memory_order_relaxed);
-  openDumpFile(static_cast<int>(::getpid()));
-  if (GFd < 0)
-    GInstalled.store(false, std::memory_order_relaxed);
 }
 
 void CrashDump::disarm() {

@@ -23,10 +23,7 @@
 ///
 /// Enabled by the CABLE_CRASH_DIR environment variable (the tools call
 /// install() unconditionally; without the variable it is a no-op). The
-/// dump lands at `$CABLE_CRASH_DIR/crash.<pid>.json`; forked shard
-/// workers re-point at their own pid (Subprocess::spawn calls
-/// reinstallAfterFork), and the supervisor collects nonempty worker
-/// dumps into the run report's `sharded.crash_dumps` array. A clean exit
+/// dump lands at `$CABLE_CRASH_DIR/crash.<pid>.json`. A clean exit
 /// unlinks the (empty) file via disarm().
 ///
 /// Satellite duty: registerSignalArtifacts wires the SIGINT/SIGTERM
@@ -57,17 +54,6 @@ public:
   static void installAt(const char *Tool, const char *Dir);
 
   static bool installed();
-
-  /// The crash directory ("" when not installed) — the supervisor uses
-  /// it to collect worker dumps.
-  static const char *directory();
-
-  /// `<dir>/crash.<pid>.json`, or "" when not installed.
-  static std::string dumpPathForPid(int Pid);
-
-  /// Forked children call this (Subprocess::spawn does) to re-point the
-  /// pre-opened fd at their own `crash.<pid>.json`.
-  static void reinstallAfterFork();
 
   /// Clean-exit teardown: closes the fd and unlinks the file unless a
   /// dump was actually written.

@@ -38,14 +38,6 @@ struct Event {
   uint64_t DurUs = 0;
   int64_t Arg = 0;
   bool HasArg = false;
-  uint8_t FlowPhase = 0; ///< 0 = span; 's'/'t'/'f' = flow instant
-  uint64_t FlowId = 0;
-};
-
-/// A span adopted from another process (a shard worker's flush).
-struct ForeignSpan {
-  int64_t Pid = 0;
-  TraceLog::RawSpan S;
 };
 
 /// One thread's span ring. Appends come only from the owning thread; the
@@ -61,6 +53,7 @@ struct ThreadRing {
   size_t Next = 0;     ///< Ring insertion cursor.
   uint64_t Total = 0;  ///< Spans ever recorded here.
   uint64_t Dropped = 0;
+  bool Exited = false; ///< The owning thread has finished.
 };
 
 struct Global {
@@ -70,12 +63,9 @@ struct Global {
   size_t RingCapacity = 65536;
   std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();
-  /// Spans ingested from worker processes, plus their track names.
-  /// Bounded so a chatty fleet cannot grow the supervisor without limit.
-  std::vector<ForeignSpan> Foreign;
-  std::vector<std::pair<int64_t, std::string>> ForeignProcs;
-  size_t ForeignCapacity = 1 << 20;
-  uint64_t ForeignDropped = 0;
+  /// Total and Dropped of the unregistered rings of exited threads.
+  uint64_t ExitedTotal = 0;
+  uint64_t ExitedDropped = 0;
 };
 
 /// Intentionally leaked (spans can be recorded during static teardown).
@@ -84,8 +74,39 @@ Global &global() {
   return *G;
 }
 
+/// Unregisters the rings of exited threads whose events are gone (drained,
+/// exported, or reset), folding their counts into the global totals so
+/// spanCount and droppedCount do not move. Without this every thread ever
+/// started would keep a ring that each drain and export walks. The caller
+/// holds G.Mutex and no ring lock.
+void pruneExitedRings(Global &G) {
+  std::erase_if(G.Rings, [&](const std::shared_ptr<ThreadRing> &R) {
+    std::lock_guard<std::mutex> Lock(R->Mutex);
+    if (!R->Exited || !R->Ring.empty())
+      return false;
+    G.ExitedTotal += R->Total;
+    G.ExitedDropped += R->Dropped;
+    return true;
+  });
+}
+
+/// The calling thread's claim on its ring: marks the ring exited when the
+/// thread ends, unregistering it at once when nothing is left to export.
+struct RingHandle {
+  std::shared_ptr<ThreadRing> R;
+  ~RingHandle() {
+    Global &G = global();
+    std::lock_guard<std::mutex> Lock(G.Mutex);
+    {
+      std::lock_guard<std::mutex> RLock(R->Mutex);
+      R->Exited = true;
+    }
+    pruneExitedRings(G);
+  }
+};
+
 ThreadRing &myRing() {
-  thread_local std::shared_ptr<ThreadRing> Mine = [] {
+  thread_local RingHandle Mine{[] {
     Global &G = global();
     auto R = std::make_shared<ThreadRing>();
     std::lock_guard<std::mutex> Lock(G.Mutex);
@@ -93,8 +114,8 @@ ThreadRing &myRing() {
     R->Capacity = std::max<size_t>(G.RingCapacity, 4);
     G.Rings.push_back(R);
     return R;
-  }();
-  return *Mine;
+  }()};
+  return *Mine.R;
 }
 
 } // namespace
@@ -118,9 +139,14 @@ void TraceLog::setThreadName(std::string Name) {
   R.Name = std::move(Name);
 }
 
-namespace {
-
-void appendEvent(Event E) {
+void TraceLog::record(std::string Name, uint64_t StartUs, uint64_t DurUs,
+                      int64_t Arg, bool HasArg) {
+  Event E;
+  E.Name = std::move(Name);
+  E.StartUs = StartUs;
+  E.DurUs = DurUs;
+  E.Arg = Arg;
+  E.HasArg = HasArg;
   ThreadRing &R = myRing();
   std::lock_guard<std::mutex> Lock(R.Mutex);
   if (R.Ring.size() < R.Capacity) {
@@ -133,30 +159,6 @@ void appendEvent(Event E) {
   }
   R.Next = (R.Next + 1) % R.Capacity;
   ++R.Total;
-}
-
-} // namespace
-
-void TraceLog::record(std::string Name, uint64_t StartUs, uint64_t DurUs,
-                      int64_t Arg, bool HasArg) {
-  Event E;
-  E.Name = std::move(Name);
-  E.StartUs = StartUs;
-  E.DurUs = DurUs;
-  E.Arg = Arg;
-  E.HasArg = HasArg;
-  appendEvent(std::move(E));
-}
-
-void TraceLog::recordFlow(uint64_t FlowId, char Phase) {
-  if (!enabled())
-    return;
-  Event E;
-  E.Name = "shard-flow";
-  E.StartUs = nowUs();
-  E.FlowPhase = static_cast<uint8_t>(Phase);
-  E.FlowId = FlowId;
-  appendEvent(std::move(E));
 }
 
 std::vector<TraceLog::RawSpan> TraceLog::drainSpans() {
@@ -180,8 +182,6 @@ std::vector<TraceLog::RawSpan> TraceLog::drainSpans() {
       S.DurUs = E.DurUs;
       S.Arg = E.Arg;
       S.HasArg = E.HasArg;
-      S.FlowPhase = E.FlowPhase;
-      S.FlowId = E.FlowId;
       S.Tid = R.Tid;
       S.ThreadName = R.Name;
       Out.push_back(std::move(S));
@@ -189,56 +189,15 @@ std::vector<TraceLog::RawSpan> TraceLog::drainSpans() {
     R.Ring.clear();
     R.Next = 0;
   }
+  std::lock_guard<std::mutex> Lock(G.Mutex);
+  pruneExitedRings(G);
   return Out;
-}
-
-void TraceLog::ingestRemote(int64_t Pid, std::string_view ProcessName,
-                            std::vector<RawSpan> Spans, uint64_t DroppedDelta) {
-  Global &G = global();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  bool Known = false;
-  for (const auto &[P, Name] : G.ForeignProcs)
-    Known = Known || P == Pid;
-  if (!Known)
-    G.ForeignProcs.emplace_back(Pid, std::string(ProcessName));
-  G.ForeignDropped += DroppedDelta;
-  for (RawSpan &S : Spans) {
-    if (G.Foreign.size() >= G.ForeignCapacity) {
-      ++G.ForeignDropped;
-      SpansDropped.add();
-      continue;
-    }
-    ForeignSpan F;
-    F.Pid = Pid;
-    F.S = std::move(S);
-    G.Foreign.push_back(std::move(F));
-  }
-}
-
-void TraceLog::resetAfterFork() {
-  Global &G = global();
-  ThreadRing &Mine = myRing();
-  std::lock_guard<std::mutex> Lock(G.Mutex);
-  // Only the forking thread lives on in the child, so only its ring can
-  // ever record again; the others (every thread the parent ever ran)
-  // would just be walked by each drain.
-  std::erase_if(G.Rings, [&](const std::shared_ptr<ThreadRing> &R) {
-    return R.get() != &Mine;
-  });
-  std::lock_guard<std::mutex> RLock(Mine.Mutex);
-  Mine.Ring.clear();
-  Mine.Next = 0;
-  Mine.Total = 0;
-  Mine.Dropped = 0;
-  G.Foreign.clear();
-  G.ForeignProcs.clear();
-  G.ForeignDropped = 0;
 }
 
 uint64_t TraceLog::spanCount() {
   Global &G = global();
   std::lock_guard<std::mutex> Lock(G.Mutex);
-  uint64_t N = 0;
+  uint64_t N = G.ExitedTotal;
   for (const auto &R : G.Rings) {
     std::lock_guard<std::mutex> RLock(R->Mutex);
     N += R->Total;
@@ -249,7 +208,7 @@ uint64_t TraceLog::spanCount() {
 uint64_t TraceLog::droppedCount() {
   Global &G = global();
   std::lock_guard<std::mutex> Lock(G.Mutex);
-  uint64_t N = G.ForeignDropped; // Remote losses reported via ingestRemote.
+  uint64_t N = G.ExitedDropped;
   for (const auto &R : G.Rings) {
     std::lock_guard<std::mutex> RLock(R->Mutex);
     N += R->Dropped;
@@ -268,9 +227,9 @@ void TraceLog::reset() {
     R->Dropped = 0;
     R->Capacity = std::max<size_t>(G.RingCapacity, 4);
   }
-  G.Foreign.clear();
-  G.ForeignProcs.clear();
-  G.ForeignDropped = 0;
+  pruneExitedRings(G);
+  G.ExitedTotal = 0;
+  G.ExitedDropped = 0;
 }
 
 void TraceLog::setRingCapacity(size_t Events) {
@@ -381,26 +340,13 @@ bool TraceLog::crashStackRead(size_t I, CrashStackView &Out) {
 
 namespace {
 
-/// One trace event, local or foreign. Flow instants ('s'/'t'/'f') bind
-/// by (cat, id) to the slice enclosing their timestamp on their track;
-/// a finish ('f') needs bp:"e" to attach to the enclosing slice.
 void writeEventJson(JsonWriter &W, const Event &E, int64_t Pid, int Tid) {
   W.beginObject();
   W.member("name", std::string_view(E.Name));
-  if (E.FlowPhase == 0) {
-    W.member("cat", std::string_view("cable"));
-    W.member("ph", std::string_view("X"));
-    W.member("ts", E.StartUs);
-    W.member("dur", E.DurUs);
-  } else {
-    char Ph[2] = {static_cast<char>(E.FlowPhase), 0};
-    W.member("cat", std::string_view("shard"));
-    W.member("ph", std::string_view(Ph, 1));
-    W.member("id", E.FlowId);
-    W.member("ts", E.StartUs);
-    if (E.FlowPhase == 'f')
-      W.member("bp", std::string_view("e"));
-  }
+  W.member("cat", std::string_view("cable"));
+  W.member("ph", std::string_view("X"));
+  W.member("ts", E.StartUs);
+  W.member("dur", E.DurUs);
   W.member("pid", Pid);
   W.member("tid", static_cast<int64_t>(Tid));
   if (E.HasArg) {
@@ -433,11 +379,14 @@ std::string TraceLog::exportJson(std::string_view ToolName) {
   Global &G = global();
   int64_t Pid = static_cast<int64_t>(::getpid());
 
-  // Snapshot the ring list, then drain each ring under its own lock.
+  // Snapshot the ring list (with the drops of rings already released),
+  // then read each ring under its own lock.
   std::vector<std::shared_ptr<ThreadRing>> Rings;
+  uint64_t TotalDropped = 0;
   {
     std::lock_guard<std::mutex> Lock(G.Mutex);
     Rings = G.Rings;
+    TotalDropped = G.ExitedDropped;
   }
 
   JsonWriter W;
@@ -445,7 +394,6 @@ std::string TraceLog::exportJson(std::string_view ToolName) {
   W.key("traceEvents");
   W.beginArray();
   writeMetadataJson(W, "process_name", Pid, 0, false, ToolName);
-  uint64_t TotalDropped = 0;
   for (const auto &RP : Rings) {
     std::lock_guard<std::mutex> Lock(RP->Mutex);
     ThreadRing &R = *RP;
@@ -458,35 +406,15 @@ std::string TraceLog::exportJson(std::string_view ToolName) {
     size_t First = N < R.Capacity ? 0 : R.Next;
     for (size_t I = 0; I < N; ++I)
       writeEventJson(W, R.Ring[(First + I) % N], Pid, R.Tid);
+    // An exited thread's events are now delivered; its ring can go.
+    if (R.Exited) {
+      R.Ring.clear();
+      R.Next = 0;
+    }
   }
-  // Spans ingested from worker processes render as their own pid tracks
-  // on the same steady-clock timeline (fork preserves the epoch).
   {
     std::lock_guard<std::mutex> Lock(G.Mutex);
-    TotalDropped += G.ForeignDropped;
-    for (const auto &[FPid, Name] : G.ForeignProcs)
-      writeMetadataJson(W, "process_name", FPid, 0, false, Name);
-    std::vector<std::pair<int64_t, int>> NamedThreads;
-    for (const ForeignSpan &F : G.Foreign) {
-      if (!F.S.ThreadName.empty()) {
-        std::pair<int64_t, int> Key(F.Pid, F.S.Tid);
-        if (std::find(NamedThreads.begin(), NamedThreads.end(), Key) ==
-            NamedThreads.end()) {
-          NamedThreads.push_back(Key);
-          writeMetadataJson(W, "thread_name", F.Pid, F.S.Tid, true,
-                            F.S.ThreadName);
-        }
-      }
-      Event E;
-      E.Name = F.S.Name;
-      E.StartUs = F.S.StartUs;
-      E.DurUs = F.S.DurUs;
-      E.Arg = F.S.Arg;
-      E.HasArg = F.S.HasArg;
-      E.FlowPhase = F.S.FlowPhase;
-      E.FlowId = F.S.FlowId;
-      writeEventJson(W, E, F.Pid, F.S.Tid);
-    }
+    pruneExitedRings(G);
   }
   W.endArray();
   W.key("otherData");

@@ -7,10 +7,10 @@
 //
 // Property suite for the blocked arena Context layout: on random and
 // degenerate contexts, the fused sigma/tau (packed row/column arenas +
-// andSelectInto) must agree bit-for-bit with the retained pre-arena
-// reference implementations, at every kernel dispatch level; and entire
-// lattices built by all four builders must be identical between the new
-// and legacy derivation paths.
+// andSelectInto) and sigma-of-meet must agree bit-for-bit with the
+// retained pre-arena reference implementations, at every kernel dispatch
+// level; and entire lattices built by all four builders must be identical
+// between the new and legacy derivation paths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,8 +65,9 @@ BitVector randomSubset(RNG &Rand, size_t Universe) {
   return Out;
 }
 
-/// Checks sigma/tau and both closures against the reference path for a
-/// battery of random subsets, plus the empty and full subsets.
+/// Checks sigma/tau, both closures and sigma-of-meet against the
+/// reference path for a battery of random subsets, plus the empty and full
+/// subsets.
 void expectDerivationsMatchReference(const Context &Ctx, uint64_t Seed,
                                      const char *What) {
   RNG Rand(Seed);
@@ -80,9 +81,15 @@ void expectDerivationsMatchReference(const Context &Ctx, uint64_t Seed,
     ObjSets.push_back(randomSubset(Rand, Ctx.numObjects()));
     AttrSets.push_back(randomSubset(Rand, Ctx.numAttributes()));
   }
+  BitVector Meet(Ctx.numAttributes());
   for (const BitVector &X : ObjSets) {
     EXPECT_TRUE(Ctx.sigma(X) == Ctx.sigmaReference(X)) << What;
     EXPECT_TRUE(Ctx.closeExtent(X) == Ctx.closeExtentReference(X)) << What;
+    for (size_t M = 0; M < Ctx.numAttributes(); ++M) {
+      Ctx.sigmaOfMeetInto(X, M, Meet);
+      EXPECT_TRUE(Meet == Ctx.sigmaReference(X & Ctx.attributeCol(M)))
+          << What << " m" << M;
+    }
   }
   for (const BitVector &Y : AttrSets) {
     EXPECT_TRUE(Ctx.tau(Y) == Ctx.tauReference(Y)) << What;
@@ -181,6 +188,18 @@ TEST(ContextLayoutDegenerateTest, WideContextCrossesWordBoundaries) {
       if (Rand.nextBool(0.3))
         Ctx.relate(O, A);
   expectDerivationsMatchAtEveryLevel(Ctx, 5, "130x70");
+}
+
+TEST(ContextLayoutDegenerateTest, TallContextPastTheRegisterClosure) {
+  // 600 objects → 10-word columns, past the 8-word register closures, with
+  // one-word rows.
+  RNG Rand(7);
+  Context Ctx(600, 20);
+  for (size_t O = 0; O < 600; ++O)
+    for (size_t A = 0; A < 20; ++A)
+      if (Rand.nextBool(0.6))
+        Ctx.relate(O, A);
+  expectDerivationsMatchAtEveryLevel(Ctx, 6, "600x20");
 }
 
 /// 60-seed sweep: whole lattices are identical old-path vs new-path for

@@ -23,6 +23,7 @@
 #include "concepts/GodinBuilder.h"
 #include "concepts/NextClosureBuilder.h"
 #include "concepts/ParallelBuilder.h"
+#include "support/Metrics.h"
 #include "support/RNG.h"
 #include "support/ThreadPool.h"
 #include "support/TraceEvent.h"
@@ -293,4 +294,23 @@ TEST(CoversTest, EveryCoverComputationEmitsItsSpan) {
     EXPECT_EQ(Args, std::vector<int64_t>{static_cast<int64_t>(L.size())});
   }
   TraceLog::setEnabled(false);
+}
+
+TEST(CoversTest, ArmedSearchCountsOneSigmaPerGenerator) {
+  // The search counts its closures per thread, not per call: every concept
+  // (A, B) evaluates one sigma per attribute outside B, serial or pooled.
+  Context Ctx = contranominal(8);
+  std::vector<Concept> All = allConcepts(Ctx);
+  uint64_t Want = 0;
+  for (const Concept &C : All)
+    Want += Ctx.numAttributes() - C.Intent.count();
+  Metrics::Counter &Sigma = Metrics::counter("context.sigma-calls");
+  Metrics::setEnabled(true);
+  ThreadPool Pool(4);
+  for (ThreadPool *P : {static_cast<ThreadPool *>(nullptr), &Pool}) {
+    uint64_t Before = Sigma.value();
+    ASSERT_TRUE(ConceptLattice::fromCompleteConcepts(Ctx, All, P).isOk());
+    EXPECT_EQ(Sigma.value() - Before, Want) << (P ? "pooled" : "serial");
+  }
+  Metrics::setEnabled(false);
 }

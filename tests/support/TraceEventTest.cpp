@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <thread>
 
 using namespace cable;
@@ -104,7 +106,7 @@ TEST_F(TraceEventTest, SpansFromWorkerThreadsGetDistinctTids) {
   EXPECT_NE(Json.find("\"worker-thread\""), std::string::npos);
 }
 
-// -- Cross-process stitching (drain / ingest / flow events) ---------------
+// -- Draining and the lifetime of exited threads' rings -------------------
 
 TEST_F(TraceEventTest, RingWraparoundTicksSpansDroppedCounter) {
   Metrics::reset();
@@ -123,89 +125,73 @@ TEST_F(TraceEventTest, RingWraparoundTicksSpansDroppedCounter) {
 TEST_F(TraceEventTest, DrainSpansEmptiesRingsAndCarriesMetadata) {
   TraceLog::setThreadName("drain-thread");
   { TraceSpan Span("drain-span", 17); }
-  TraceLog::recordFlow(99, 't');
   std::vector<TraceLog::RawSpan> Spans = TraceLog::drainSpans();
-  ASSERT_EQ(Spans.size(), 2u);
+  ASSERT_EQ(Spans.size(), 1u);
   EXPECT_EQ(Spans[0].Name, "drain-span");
   EXPECT_EQ(Spans[0].Arg, 17);
   EXPECT_TRUE(Spans[0].HasArg);
   EXPECT_EQ(Spans[0].FlowPhase, 0);
   EXPECT_EQ(Spans[0].ThreadName, "drain-thread");
-  EXPECT_EQ(Spans[1].FlowPhase, 't');
-  EXPECT_EQ(Spans[1].FlowId, 99u);
   // A second drain finds the rings empty; the cumulative span count
   // survives the drain.
   EXPECT_TRUE(TraceLog::drainSpans().empty());
-  EXPECT_GE(TraceLog::spanCount(), 2u);
+  EXPECT_GE(TraceLog::spanCount(), 1u);
 }
 
-TEST_F(TraceEventTest, IngestRemoteExportsPerPidTracks) {
-  { TraceSpan Span("supervisor-span"); }
-  TraceLog::RawSpan Remote;
-  Remote.Name = "remote-span";
-  Remote.StartUs = 5;
-  Remote.DurUs = 10;
-  Remote.Tid = 0;
-  Remote.ThreadName = "remote-main";
-  TraceLog::ingestRemote(4242, "shard-worker-0", {Remote});
-  std::string Json = TraceLog::exportJson("trace-test");
-  std::string Error;
-  EXPECT_TRUE(validateJson(Json, Error)) << Error << "\n" << Json;
-  EXPECT_NE(Json.find("\"remote-span\""), std::string::npos);
-  EXPECT_NE(Json.find("\"pid\": 4242"), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"shard-worker-0\""), std::string::npos);
-  EXPECT_NE(Json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(Json.find("\"remote-main\""), std::string::npos);
-}
-
-TEST_F(TraceEventTest, FlowEventsExportWithSharedIdAndBindingPoint) {
-  {
-    TraceSpan Dispatch("flow-dispatch");
-    TraceLog::recordFlow(7, 's');
+TEST_F(TraceEventTest, ExitedThreadRingsAreReleasedOnceDrained) {
+  constexpr int kThreads = 64;
+  uint64_t SpansBefore = TraceLog::spanCount();
+  uint64_t DroppedBefore = TraceLog::droppedCount();
+  for (int T = 0; T < kThreads; ++T) {
+    std::thread Worker([T] {
+      TraceLog::setThreadName("short-lived-" + std::to_string(T));
+      TraceSpan Span("short-lived-span", T);
+    });
+    Worker.join();
   }
-  TraceLog::RawSpan Step;
-  Step.Name = "shard-flow";
-  Step.StartUs = 3;
-  Step.FlowPhase = 't';
-  Step.FlowId = 7;
-  TraceLog::ingestRemote(999, "shard-worker-1", {Step});
-  {
-    TraceSpan Merge("flow-merge");
-    TraceLog::recordFlow(7, 'f');
+
+  // Every span outlives its thread and drains with the thread's tid and
+  // name.
+  size_t Drained = 0;
+  std::set<int> Tids;
+  for (const TraceLog::RawSpan &S : TraceLog::drainSpans()) {
+    if (S.Name != "short-lived-span")
+      continue;
+    ++Drained;
+    Tids.insert(S.Tid);
+    EXPECT_EQ(S.ThreadName, "short-lived-" + std::to_string(S.Arg));
   }
+  EXPECT_EQ(Drained, static_cast<size_t>(kThreads));
+  EXPECT_EQ(Tids.size(), static_cast<size_t>(kThreads));
+
+  // Drained, the dead threads' rings are gone: no metadata row names one.
   std::string Json = TraceLog::exportJson("trace-test");
-  std::string Error;
-  EXPECT_TRUE(validateJson(Json, Error)) << Error << "\n" << Json;
-  EXPECT_NE(Json.find("\"ph\": \"s\""), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"ph\": \"t\""), std::string::npos);
-  EXPECT_NE(Json.find("\"ph\": \"f\""), std::string::npos);
-  // The flow finish must carry bp:e so Perfetto binds it to the
-  // enclosing slice rather than the next one.
-  EXPECT_NE(Json.find("\"bp\": \"e\""), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"id\": 7"), std::string::npos);
-  EXPECT_NE(Json.find("\"cat\": \"shard\""), std::string::npos);
+  EXPECT_EQ(Json.find("short-lived-"), std::string::npos) << Json;
+  // Releasing a ring moves neither cumulative count.
+  EXPECT_EQ(TraceLog::spanCount() - SpansBefore,
+            static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(TraceLog::droppedCount(), DroppedBefore);
 }
 
-TEST_F(TraceEventTest, IngestRemoteFoldsRemoteDropsIntoDroppedCount) {
-  uint64_t Before = TraceLog::droppedCount();
-  TraceLog::ingestRemote(777, "shard-worker-2", {}, 5);
-  EXPECT_EQ(TraceLog::droppedCount() - Before, 5u);
-}
+TEST_F(TraceEventTest, ExitedThreadSpansAreExportedOnceThenReleased) {
+  std::thread Worker([] {
+    TraceLog::setThreadName("exported-thread");
+    TraceSpan Span("exported-span");
+  });
+  Worker.join();
+  // A thread that only named itself (a pool worker with no span) leaves
+  // nothing to export, so its ring goes when it exits.
+  std::thread Idle([] { TraceLog::setThreadName("idle-thread"); });
+  Idle.join();
+  uint64_t Spans = TraceLog::spanCount();
 
-TEST_F(TraceEventTest, ResetAfterForkClearsLocalAndForeignSpans) {
-  { TraceSpan Span("pre-fork-span"); }
-  TraceLog::RawSpan Remote;
-  Remote.Name = "pre-fork-foreign";
-  TraceLog::ingestRemote(31337, "shard-worker-3", {Remote});
-  TraceLog::resetAfterFork();
-  EXPECT_TRUE(TraceLog::drainSpans().empty());
-  std::string Json = TraceLog::exportJson("trace-test");
-  EXPECT_EQ(Json.find("pre-fork-span"), std::string::npos);
-  EXPECT_EQ(Json.find("pre-fork-foreign"), std::string::npos);
-  // The log stays usable after the clear.
-  { TraceSpan Span("post-fork-span"); }
-  EXPECT_NE(TraceLog::exportJson("t").find("post-fork-span"),
-            std::string::npos);
+  std::string First = TraceLog::exportJson("trace-test");
+  EXPECT_NE(First.find("\"exported-thread\""), std::string::npos) << First;
+  EXPECT_NE(First.find("\"exported-span\""), std::string::npos);
+  EXPECT_EQ(First.find("idle-thread"), std::string::npos) << First;
+  std::string Second = TraceLog::exportJson("trace-test");
+  EXPECT_EQ(Second.find("exported-"), std::string::npos) << Second;
+  EXPECT_EQ(TraceLog::spanCount(), Spans);
 }
 
 } // namespace

@@ -45,7 +45,6 @@
 #include "support/RNG.h"
 #include "support/RunReport.h"
 #include "support/StringUtil.h"
-#include "support/Subprocess.h"
 #include "support/TraceEvent.h"
 #include "workload/Generator.h"
 #include "workload/Oracle.h"
@@ -87,19 +86,6 @@ void printUsage() {
       "  --threads N        lattice-construction workers (0 = hardware\n"
       "                     concurrency, 1 = serial; same lattice either\n"
       "                     way; default 0)\n"
-      "  --shard-workers N  build the lattice in N crash-isolated worker\n"
-      "                     processes under a supervising parent (0 = off,\n"
-      "                     the default); identical lattice at any worker\n"
-      "                     count, degrading in-process when forking is\n"
-      "                     unavailable or workers keep failing; worker\n"
-      "                     metrics and trace spans are merged back into\n"
-      "                     the --stats/--metrics-out/--trace-out views\n"
-      "  --shard-timeout MS per-shard deadline before a wedged worker is\n"
-      "                     killed and its partition reassigned\n"
-      "                     (default 30000)\n"
-      "  --shard-retries N  retries per partition beyond the first attempt\n"
-      "                     before it is computed in the supervisor\n"
-      "                     (default 3)\n"
       "\n"
       "lattice cache:\n"
       "  --cache-dir DIR    content-addressed lattice artifact store: a\n"
@@ -148,16 +134,11 @@ void printUsage() {
       "  --metrics-out FILE write a cable-metrics/1 JSON snapshot at exit\n"
       "  --trace-out FILE   record tracing spans and write Chrome\n"
       "                     trace-event JSON at exit (open in Perfetto or\n"
-      "                     chrome://tracing); with --shard-workers the\n"
-      "                     file shows every worker process as its own\n"
-      "                     track, flow arrows linking each block's\n"
-      "                     dispatch -> compute -> merge\n"
+      "                     chrome://tracing)\n"
       "  --run-report FILE  write a cable-run-report/1 JSON document (tool,\n"
-      "                     argv, build stamp, metrics, truncation, and a\n"
-      "                     sharded section for multi-process runs) at exit\n"
+      "                     argv, build stamp, metrics, truncation) at exit\n"
       "  --log-out FILE     write structured cable-log/1 JSONL at exit\n"
-      "                     (default: $CABLE_LOG, else off); with\n"
-      "                     --shard-workers, one merged multi-process log\n"
+      "                     (default: $CABLE_LOG, else off)\n"
       "  --log-level LEVEL  debug|info|warn|error (default info)\n"
       "                     $CABLE_CRASH_DIR=DIR arms the flight recorder:\n"
       "                     a fatal signal, std::terminate, or injected\n"
@@ -644,9 +625,6 @@ volatile sig_atomic_t GJournalFd = -1;
 /// belt and braces; fsync and _exit are both async-signal-safe. Ctrl-C
 /// therefore never loses labels.
 extern "C" void onTerminateSignal(int Sig) {
-  // Take any live shard workers down with the supervisor (kill(2) is
-  // async-signal-safe) so Ctrl-C never leaks orphan processes.
-  Subprocess::killActiveFromSignalHandler();
   int Fd = GJournalFd;
   if (Fd >= 0)
     ::fsync(Fd);
@@ -663,8 +641,8 @@ void installSignalHandlers() {
   SA.sa_handler = onTerminateSignal;
   ::sigaction(SIGINT, &SA, nullptr);
   ::sigaction(SIGTERM, &SA, nullptr);
-  // A dead pipe reader (a closed pager, a crashed shard worker's socket)
-  // must surface as an EPIPE error status, not kill the process.
+  // A dead pipe reader (a closed pager) must surface as an EPIPE error
+  // status, not kill the process.
   std::memset(&SA, 0, sizeof(SA));
   SA.sa_handler = SIG_IGN;
   ::sigaction(SIGPIPE, &SA, nullptr);
@@ -693,7 +671,8 @@ void maybeSnapshot(CliState &Cli, bool Force) {
 int runCli(int Argc, char **Argv) {
   // Installed before any work: SIGPIPE must be ignored from the first
   // write (a dead pipe reader is an EPIPE status, not a process death),
-  // and SIGINT/SIGTERM must reap shard workers even without a journal.
+  // and SIGINT/SIGTERM must flush the requested artifacts even without a
+  // journal.
   // Re-installed harmlessly when a journal opens and GJournalFd is live.
   installSignalHandlers();
   for (int I = 1; I < Argc; ++I)
@@ -799,21 +778,6 @@ int runCli(int Argc, char **Argv) {
       if (!NextNumber("--threads", N))
         return 1;
       BuildOpts.NumThreads = static_cast<unsigned>(*N);
-    } else if (Arg == "--shard-workers") {
-      std::optional<unsigned long> N;
-      if (!NextNumber("--shard-workers", N))
-        return 1;
-      BuildOpts.ShardWorkers = static_cast<unsigned>(*N);
-    } else if (Arg == "--shard-timeout") {
-      std::optional<unsigned long> N;
-      if (!NextNumber("--shard-timeout", N))
-        return 1;
-      BuildOpts.ShardTimeout = std::chrono::milliseconds(*N);
-    } else if (Arg == "--shard-retries") {
-      std::optional<unsigned long> N;
-      if (!NextNumber("--shard-retries", N))
-        return 1;
-      BuildOpts.ShardRetries = static_cast<unsigned>(*N);
     } else if (Arg == "--time-budget") {
       std::optional<unsigned long> N;
       if (!NextNumber("--time-budget", N))
